@@ -90,8 +90,9 @@ def box(*intervals):
 class Region:
     """A finite union of pairwise-disjoint axis-aligned boxes.
 
-    Instances are immutable; all operations return new regions in canonical
-    (coalesced) form.  The empty region has zero boxes.
+    Instances are immutable; all operations return new regions in coalesced
+    form.  One point set can still have several box decompositions, so
+    equality compares point sets.  The empty region has zero boxes.
     """
 
     __slots__ = ("boxes",)
@@ -190,12 +191,20 @@ class Region:
         return tuple(tuple(Interval(*iv) for iv in b) for b in self.boxes)
 
     def __eq__(self, other):
+        """Set equality: two decompositions of one point set are equal."""
         if not isinstance(other, Region):
             return NotImplemented
-        return set(self.boxes) == set(other.boxes)
+        if set(self.boxes) == set(other.boxes):
+            return True
+        return (self.dim == other.dim and self.issubset(other)
+                and other.issubset(self))
 
     def __hash__(self):
-        return hash(frozenset(self.boxes))
+        # the extent on every axis depends on the point set only
+        return hash(tuple(
+            (min(b[k][0] for b in self.boxes), max(b[k][1] for b in self.boxes))
+            for k in range(self.dim)
+        ))
 
     def __repr__(self):
         if self.is_empty:
@@ -205,22 +214,3 @@ class Region:
         ]
         return "Region(%s)" % " u ".join(parts)
 
-
-def region_intersect(a, b):
-    return a.intersect(b)
-
-
-def region_subtract(a, b):
-    return a.subtract(b)
-
-
-def region_union(a, b):
-    return a.union(b)
-
-
-def projection_measure(r, attr_index):
-    return r.projection_measure(attr_index)
-
-
-def region_contains_point(r, pt):
-    return r.contains(pt)

@@ -144,7 +144,8 @@ def run_all(trials=1000, seed=0, tol=LAW_TOL):
 
     def streaming_law(trials):
         for t in range(trials):
-            spaces = [random_space(rng) for _ in range(int(rng.integers(3, 7)))]
+            spaces = [random_space(rng, coverage=0.6)
+                      for _ in range(int(rng.integers(3, 7)))]
             acc = spaces[0]
             for sp in spaces[1:]:
                 acc = merge_streaming(acc, sp)

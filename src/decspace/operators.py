@@ -1,13 +1,14 @@
 """The algebra core: conflict-resolving merge, its m-ary and bias-free
 streaming variants, the restriction operator, and their composites.
 
-Conflicts are resolved by specialization-weighted averaging of the class
+The three merges share one overlay and differ only in how an element is
+weighed.  Conflicts are resolved by weighted averaging of the class
 distributions; the weight of an element is the mean projected extent of its
-region at the time the operator is applied.  Two elements conflict when
-their regions share positive measure (shared faces between closed boxes are
-not conflicts; the overlapping sliver is trimmed from the second operand so
-outputs stay disjoint).  Point elements, whose measure is zero on every
-axis, conflict when they coincide and are combined by unweighted averaging.
+region (its specialization), or its stored mass in the streaming merge.
+Two regions conflict when they share positive measure (shared faces between
+closed boxes are not conflicts; the face stays with the earlier operand so
+outputs stay disjoint).  Measure-zero regions conflict when they meet, and
+are averaged unweighted when every weight is zero.
 """
 
 from dataclasses import dataclass
@@ -27,11 +28,15 @@ def _check_pair(a, b):
         raise ValueError("schema mismatch between decision spaces")
 
 
-def _merged_labels(a, b):
-    if a.class_labels == b.class_labels:
-        return a.class_labels
-    union = set(a.class_labels) | set(b.class_labels)
-    return tuple(sorted(union))
+def _aligned(spaces):
+    """The spaces extended onto one label tuple: the common one when all
+    agree, else the sorted union."""
+    for sp in spaces[1:]:
+        _check_pair(spaces[0], sp)
+    labels = spaces[0].class_labels
+    if any(sp.class_labels != labels for sp in spaces[1:]):
+        labels = tuple(sorted(set().union(*(sp.class_labels for sp in spaces))))
+    return [sp.with_labels(labels) for sp in spaces]
 
 
 def subsumes(x, y):
@@ -39,83 +44,48 @@ def subsumes(x, y):
     return y.region.issubset(x.region)
 
 
-def _proj_intervals(region, k):
-    return [b[k] for b in region.boxes]
-
-
-def _union_1d(intervals):
-    """Canonical 1-D union of (possibly overlapping) intervals with flags."""
-    from .geometry import kernels as _k
-
+def _projections(region):
+    """Per attribute, the extent ``(lo, hi)`` of the region's projection and
+    the projection itself as a 1-D Region."""
     out = []
-    for iv in sorted(intervals, key=lambda t: (t[0], not t[2])):
-        if out:
-            cur = out[-1]
-            joined = _k.itv_intersect(cur, iv)
-            touching = cur[1] == iv[0] and (cur[3] or iv[2])
-            if joined is not None or touching:
-                lo, lc = cur[0], cur[2]
-                if iv[1] > cur[1]:
-                    hi, hc = iv[1], iv[3]
-                elif iv[1] < cur[1]:
-                    hi, hc = cur[1], cur[3]
-                else:
-                    hi, hc = cur[1], cur[3] or iv[3]
-                out[-1] = (lo, hi, lc, hc)
-                continue
-        out.append(tuple(iv))
+    for k in range(region.dim):
+        proj = Region.empty()
+        for b in region.boxes:
+            proj = proj | Region(((b[k],),), _canonical=True)
+        out.append((min(b[k][0] for b in region.boxes),
+                    max(b[k][1] for b in region.boxes), proj))
     return out
 
 
-def _subset_1d(a, b):
-    """Is the 1-D union a contained in the 1-D union b?"""
-    from .geometry import kernels as _k
-
-    pieces = list(a)
-    for iv in b:
-        nxt = []
-        for p in pieces:
-            nxt.extend(_k.itv_subtract(p, iv))
-        pieces = nxt
-        if not pieces:
-            return True
-    return not pieces
+def _strictly_inside(py, px):
+    """Is every projection in ``py`` a subset of the one in ``px``, strictly
+    inside both of its extremes?"""
+    for (ylo, yhi, y), (xlo, xhi, x) in zip(py, px):
+        if not (xlo < ylo and yhi < xhi and y.issubset(x)):
+            return False
+    return True
 
 
 def strictly_subsumes(x, y):
     """True iff x strictly subsumes y: on every attribute, y's projection is
     a proper subset of x's, strictly inside both extremes (a projection that
     reaches either end of x's extent is only ordinary containment)."""
-    if x.region.is_empty or y.region.is_empty:
-        return False
-    for k in range(x.region.dim):
-        px = _union_1d(_proj_intervals(x.region, k))
-        py = _union_1d(_proj_intervals(y.region, k))
-        if not _subset_1d(py, px):
-            return False
-        if py[0][0] == px[0][0] or py[-1][1] == px[-1][1]:
-            return False
-    return True
+    return _strictly_inside(_projections(y.region), _projections(x.region))
 
 
-def _conflict_region(rx, ry):
-    """The shared region when two element regions conflict, else None.
-
-    Positive-measure overlap is a conflict; a measure-zero overlap only is
-    when both regions are themselves measure-zero (coincident points)."""
-    inter = rx & ry
-    if inter.is_empty:
-        return None
-    if inter.measure() > 0:
-        return inter
-    if rx.measure() == 0 and ry.measure() == 0:
-        return inter
-    return None
+def _conflicts(shared, points):
+    """Is an overlap a conflict?  Positive measure always is; a measure-zero
+    overlap only when both regions (``points``) have measure zero."""
+    return not shared.is_empty and (points or shared.measure() > 0)
 
 
 def intersect_with_space(x, space):
     """All elements of the space whose region conflicts with x's."""
-    return [y for y in space.elements if _conflict_region(x.region, y.region)]
+    point = x.region.measure() == 0
+    return [
+        y for y in space.elements
+        if _conflicts(x.region & y.region, point and y.region.measure() == 0)
+    ]
 
 
 def combine_values(values, masses):
@@ -134,16 +104,65 @@ def combine_values(values, masses):
     labels = values[0].labels
     weights = [0.0] * len(labels)
     for v, m in zip(values, masses):
-        share = m / total
         for i, w in enumerate(v.extended(labels).weights):
-            weights[i] += w * share
-    return ClassDistribution(labels, tuple(weights))
+            weights[i] += w * m
+    # one division by the same total: identical one-hot values give exactly 1
+    return ClassDistribution(labels, tuple(w / total for w in weights))
 
 
-def _combine_pair(vx, vy, mx, my):
-    if mx == 0 and my == 0:
-        return combine_values([vx, vy], [1.0, 1.0])
-    return combine_values([vx, vy], [mx, my])
+def _kept(spaces, tol):
+    """The subsumption-drop pass: ``(space index, element)`` for every
+    element that no element of another space strictly subsumes with a value
+    equal within ``tol``.  Projections are built once per element."""
+    proj = [[_projections(e.region) for e in sp.elements] for sp in spaces]
+    return [
+        (s, e)
+        for s, sp in enumerate(spaces)
+        for i, e in enumerate(sp.elements)
+        if not any(
+            _strictly_inside(proj[s][i], proj[t][j]) and e.value.close_to(o.value, tol)
+            for t, other in enumerate(spaces) if t != s
+            for j, o in enumerate(other.elements)
+        )
+    ]
+
+
+def _overlay(entries):
+    """Cut the regions of ``(space index, element)`` entries, listed space by
+    space, into disjoint fragments, each with the entries that cover it.
+
+    Each entry splits every fragment it conflicts with into the shared part,
+    which gains the entry as a contributor, and the rest.  The part of the
+    entry that no earlier fragment holds becomes a fragment of its own, so a
+    closed face shared without conflict stays with the earlier fragment.
+    Returns ``[(Region, contributor entry indices)]``.
+    """
+    frags = []  # (Region, contributor entry indices, bit set of their spaces)
+    for k, (s, e) in enumerate(entries):
+        bit = 1 << s
+        point = e.region.measure() == 0
+        rest = e.region
+        nxt = []
+        for frag in frags:
+            reg, contribs, spaces = frag
+            # elements of one space are pairwise disjoint, so a fragment
+            # inside one of them cannot meet another
+            shared = None if spaces & bit else reg & e.region
+            if shared is None or shared.is_empty:
+                nxt.append(frag)
+                continue
+            rest = rest - shared
+            if _conflicts(shared, point and reg.measure() == 0):
+                nxt.append((shared, contribs + (k,), spaces | bit))
+                reg = reg - shared
+                if reg.is_empty:
+                    continue
+                frag = (reg, contribs, spaces)
+            nxt.append(frag)
+        if not rest.is_empty:
+            nxt.append((rest, (k,), bit))
+        frags = nxt
+    return [(reg, contribs) for reg, contribs, _ in frags]
 
 
 @dataclass(frozen=True)
@@ -157,69 +176,49 @@ class IntersectionReport:
 
 
 def intersection_report(x_space, y_space):
+    """The overlay of two spaces without the subsumption-drop pass.  A
+    closed face the two spaces share without conflict belongs to the
+    remainder of the x element only."""
     _check_pair(x_space, y_space)
+    n = len(x_space.elements)
+    entries = [(0, e) for e in x_space.elements] + [(1, e) for e in y_space.elements]
     pairs = []
-    x_rem = {i: e.region for i, e in enumerate(x_space.elements)}
-    y_rem = {j: e.region for j, e in enumerate(y_space.elements)}
-    for i, x in enumerate(x_space.elements):
-        for j, y in enumerate(y_space.elements):
-            shared = _conflict_region(x.region, y.region)
-            if shared is not None:
-                pairs.append((i, j, shared))
-                x_rem[i] = x_rem[i] - shared
-                y_rem[j] = y_rem[j] - shared
-    return IntersectionReport(tuple(pairs), x_rem, y_rem)
+    rem = {}
+    for reg, contribs in _overlay(entries):
+        if len(contribs) == 2:
+            pairs.append((contribs[0], contribs[1] - n, reg))
+        else:
+            rem[contribs[0]] = reg
+    return IntersectionReport(
+        tuple(pairs),
+        {i: rem.get(i, Region.empty()) for i in range(n)},
+        {j: rem.get(n + j, Region.empty()) for j in range(len(y_space.elements))},
+    )
 
 
-def _merge_binary(x_space, y_space, streaming, tol):
-    _check_pair(x_space, y_space)
-    labels = _merged_labels(x_space, y_space)
-    X = x_space.with_labels(labels)
-    Y = y_space.with_labels(labels)
-
-    def dropped(e, others):
-        return any(
-            strictly_subsumes(o, e) and e.value.close_to(o.value, tol)
-            for o in others
-        )
-
-    xs = [e for e in X.elements if not dropped(e, Y.elements)]
-    ys = [e for e in Y.elements if not dropped(e, X.elements)]
-
+def _merge(spaces, tol, stored_mass):
+    """The drop pass, the overlay, then one element per fragment.  An element
+    weighs its stored mass if ``stored_mass`` is set, else its region's
+    specialization.  A fragment of one element keeps its value, and as mass
+    that weight if ``stored_mass`` is set, else its own specialization."""
+    spaces = _aligned(spaces)
+    entries = _kept(spaces, tol)
+    weights = [e.mass if stored_mass else specialization(e.region) for _, e in entries]
     out = []
-    covered = Region.empty()
-    for x in xs:
-        wx = x.mass if streaming else specialization(x.region)
-        remainder = x.region
-        had_conflict = False
-        for y in ys:
-            shared = _conflict_region(x.region, y.region)
-            if shared is None:
-                continue
-            had_conflict = True
-            wy = specialization(y.region)
-            z = Element(
-                shared,
-                _combine_pair(x.value, y.value, wx, wy),
-                wx + wy,
+    for reg, contribs in _overlay(entries):
+        if len(contribs) == 1:
+            (k,) = contribs
+            value = entries[k][1].value
+            mass = weights[k] if stored_mass else specialization(reg)
+        else:
+            masses = [weights[k] for k in contribs]
+            mass = sum(masses)
+            value = combine_values(
+                [entries[k][1].value for k in contribs],
+                masses if mass else [1.0] * len(masses),
             )
-            out.append(z)
-            covered = covered | shared
-            remainder = remainder - shared
-        if not had_conflict:
-            out.append(Element(x.region, x.value, x.mass if streaming
-                               else specialization(x.region)))
-            covered = covered | x.region
-        elif not remainder.is_empty:
-            out.append(Element(remainder, x.value, x.mass if streaming
-                               else specialization(remainder)))
-            covered = covered | remainder
-    for y in ys:
-        remainder = y.region - covered
-        if not remainder.is_empty:
-            out.append(Element(remainder, y.value, specialization(remainder)))
-            covered = covered | remainder
-    return DecisionSpace(X.schema, labels, tuple(out))
+        out.append(Element(reg, value, mass))
+    return DecisionSpace(spaces[0].schema, spaces[0].class_labels, tuple(out))
 
 
 def merge(x_space, y_space, tol=EQUALITY_TOL):
@@ -231,18 +230,19 @@ def merge(x_space, y_space, tol=EQUALITY_TOL):
     weighted average.  The mass of a conflict element accumulates the
     contributors' specializations (consumed by the streaming variant).
     """
-    return _merge_binary(x_space, y_space, streaming=False, tol=tol)
+    return _merge([x_space, y_space], tol, stored_mass=False)
 
 
 def merge_streaming(accumulator, next_space, tol=EQUALITY_TOL):
     """Bias-cancelling sequential merge.
 
-    The accumulator's stored masses are the summed specializations of every
-    space folded in so far, so each conflict is weighted by
-    ``W / (W + M(y))``; folding m spaces this way is semantically equal to a
+    Every element of either operand weighs its stored mass: in the
+    accumulator that is the summed specializations of every space folded in
+    so far, so each conflict is weighted by ``W / (W + M(y))``, and elements
+    keep their mass.  Folding m spaces this way is semantically equal to a
     single m-ary merge of all of them.
     """
-    return _merge_binary(accumulator, next_space, streaming=True, tol=tol)
+    return _merge([accumulator, next_space], tol, stored_mass=True)
 
 
 def merge_nary(spaces, tol=EQUALITY_TOL):
@@ -251,63 +251,7 @@ def merge_nary(spaces, tol=EQUALITY_TOL):
     spaces = list(spaces)
     if not spaces:
         raise ValueError("merge_nary needs at least one decision space")
-    first = spaces[0]
-    for sp in spaces[1:]:
-        _check_pair(first, sp)
-    labels = first.class_labels
-    for sp in spaces[1:]:
-        if sp.class_labels != labels:
-            union = set()
-            for s in spaces:
-                union |= set(s.class_labels)
-            labels = tuple(sorted(union))
-            break
-    spaces = [sp.with_labels(labels) for sp in spaces]
-
-    kept = []  # (space index, element)
-    for i, sp in enumerate(spaces):
-        for e in sp.elements:
-            discard = any(
-                strictly_subsumes(o, e) and e.value.close_to(o.value, tol)
-                for j, other in enumerate(spaces)
-                if j != i
-                for o in other.elements
-            )
-            if not discard:
-                kept.append(e)
-
-    frags = []  # (Region, [(value, specialization)])
-    covered = Region.empty()
-    for e in kept:
-        w = specialization(e.region)
-        nxt = []
-        for reg, contribs in frags:
-            shared = _conflict_region(reg, e.region)
-            if shared is None:
-                nxt.append((reg, contribs))
-                continue
-            nxt.append((shared, contribs + [(e.value, w)]))
-            rest = reg - shared
-            if not rest.is_empty:
-                nxt.append((rest, contribs))
-        remainder = e.region - covered
-        if not remainder.is_empty:
-            nxt.append((remainder, [(e.value, w)]))
-        covered = covered | e.region
-        frags = nxt
-
-    out = []
-    for reg, contribs in frags:
-        if len(contribs) == 1:
-            value = contribs[0][0]
-            out.append(Element(reg, value, specialization(reg)))
-        else:
-            values = [v for v, _ in contribs]
-            masses = [m for _, m in contribs]
-            if sum(masses) == 0:
-                masses = [1.0] * len(masses)
-            out.append(Element(reg, combine_values(values, masses), sum(m for _, m in contribs)))
-    return DecisionSpace(first.schema, labels, tuple(out))
+    return _merge(spaces, tol, stored_mass=False)
 
 
 def restrict(x_space, y_space):

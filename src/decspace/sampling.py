@@ -74,14 +74,3 @@ def random_space(
         )
     return DecisionSpace(schema, tuple(class_labels), tuple(elems))
 
-
-def random_space_pair(rng, **kwargs):
-    return random_space(rng, **kwargs), random_space(rng, **kwargs)
-
-
-def random_space_triple(rng, **kwargs):
-    return (
-        random_space(rng, **kwargs),
-        random_space(rng, **kwargs),
-        random_space(rng, **kwargs),
-    )

@@ -136,13 +136,16 @@ def test_criterion_4_impact_probes():
 
 def test_criterion_5_streaming_equivalence():
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        spaces = [random_space(rng) for _ in range(int(rng.integers(3, 7)))]
-        acc = spaces[0]
-        for sp in spaces[1:]:
-            acc = merge_streaming(acc, sp)
-        assert semantically_equal(acc, merge_nary(spaces), 1e-9)
-    print("\nPASS criterion 5: streaming fold == m-ary merge on 100 sequences")
+    for coverage in (1.0, 0.6):
+        for _ in range(100):
+            spaces = [random_space(rng, coverage=coverage)
+                      for _ in range(int(rng.integers(3, 7)))]
+            acc = spaces[0]
+            for sp in spaces[1:]:
+                acc = merge_streaming(acc, sp)
+            assert semantically_equal(acc, merge_nary(spaces), 1e-9)
+    print("\nPASS criterion 5: streaming fold == m-ary merge on 100 sequences "
+          "each at coverage 1.0 and 0.6")
 
 
 def test_criterion_6_conversion_fidelity():

@@ -3,17 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from decspace.geometry import (
-    Interval,
-    Region,
-    box,
-    interval_intersect,
-    projection_measure,
-    region_contains_point,
-    region_intersect,
-    region_subtract,
-    region_union,
-)
+from decspace.geometry import Interval, Region, box, interval_intersect
 
 from conftest import raster, sample_axes
 
@@ -131,14 +121,36 @@ class TestRegionUnion:
         assert raster(a | b, axes) == raster(a, axes) | raster(b, axes)
 
 
+class TestRegionEquality:
+    def test_two_decompositions_of_one_set_are_equal(self):
+        a = Region((
+            ((0, 1, False, False), (0, 2, False, False)),
+            ((1, 2, True, False), (0, 1, False, False)),
+        ))
+        b = Region((
+            ((0, 2, False, False), (0, 1, False, False)),
+            ((0, 1, False, False), (1, 2, True, False)),
+        ))
+        assert set(a.boxes) != set(b.boxes)
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_different_sets_are_unequal(self):
+        a = Region.from_box(half_open(0, 2), half_open(0, 2))
+        assert a != Region.from_box(closed(0, 2), half_open(0, 2))
+        assert a != Region.from_box(half_open(0, 2))
+        assert a != Region.empty()
+        assert Region.empty() == Region.empty()
+
+
 class TestProjection:
     def test_single_box(self):
         r = Region.from_box(closed(3, 10), closed(7, 8))
-        assert projection_measure(r, 0) == 7
-        assert projection_measure(r, 1) == 1
+        assert r.projection_measure(0) == 7
+        assert r.projection_measure(1) == 1
 
     def test_empty_region(self):
-        assert projection_measure(Region.empty(), 0) == 0.0
+        assert Region.empty().projection_measure(0) == 0.0
 
     def test_l_shape_overlap_counted_once(self):
         r = Region((
@@ -146,28 +158,28 @@ class TestProjection:
             (half_open(0, 5), half_open(2, 4)),
         ))
         # projections [0,3) and [0,5) overlap on [0,3)
-        assert projection_measure(r, 0) == 5
-        assert projection_measure(r, 1) == 4
+        assert r.projection_measure(0) == 5
+        assert r.projection_measure(1) == 4
 
     def test_index_out_of_range(self):
         r = Region.from_box(half_open(0, 1), half_open(0, 1))
         with pytest.raises(IndexError):
-            projection_measure(r, 2)
+            r.projection_measure(2)
 
 
 class TestContainsPoint:
     def test_closed_lower_bound(self):
         r = Region.from_box(half_open(0, 4), half_open(0, 4))
-        assert region_contains_point(r, (0, 0))
+        assert r.contains((0, 0))
 
     def test_open_upper_bound(self):
         r = Region.from_box(half_open(0, 4), half_open(0, 4))
-        assert not region_contains_point(r, (4, 0))
+        assert not r.contains((4, 0))
 
     def test_point_region(self):
         p = Region.from_box(closed(2, 2), closed(3, 3))
-        assert region_contains_point(p, (2, 3))
-        assert not region_contains_point(p, (2, 3.0001))
+        assert p.contains((2, 3))
+        assert not p.contains((2, 3.0001))
 
 
 def _random_region(rng, n_boxes=3, span=8):

@@ -83,6 +83,14 @@ class TestIntersectWithSpace:
         assert (rep.x_remainders[0] & shared).is_empty
         assert (rep.y_remainders[0] & shared).is_empty
 
+    def test_report_shared_face_stays_with_x(self, schema):
+        x = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
+        y = single_space(schema, ((2, 4, True, True), (0, 2, True, True)), (0.0, 1.0))
+        rep = intersection_report(x, y)
+        assert rep.pairs == ()
+        assert rep.x_remainders[0] == x.elements[0].region
+        assert rep.y_remainders[0] == Region.from_box((2, 4, False, True), (0, 2, True, True))
+
 
 class TestCombineValues:
     def test_weighted_average(self):
@@ -115,6 +123,13 @@ class TestCombineValues:
         v = ClassDistribution(("A",), (1.0,))
         with pytest.raises(ValueError):
             combine_values([v], [1.0, 2.0])
+
+    def test_one_hot_stays_exactly_one(self, schema):
+        v = ClassDistribution.one_hot(("Yes", "No"), "Yes")
+        got = combine_values([v, v], [0.25, 1.8])
+        assert got.weights == (1.0, 0.0)
+        space = DecisionSpace(schema, v.labels, (Element(schema.full_region(), got),))
+        assert validate(space) == []
 
 
 class TestMerge:
@@ -225,12 +240,38 @@ class TestNaryAndStreaming:
             merge_nary([])
 
     def test_streaming_fold_equals_nary(self, rng, schema):
+        for coverage in (1.0, 0.6):
+            for _ in range(10):
+                spaces = [random_space(rng, schema, coverage=coverage) for _ in range(4)]
+                acc = spaces[0]
+                for sp in spaces[1:]:
+                    acc = merge_streaming(acc, sp)
+                assert semantically_equal(acc, merge_nary(spaces))
+
+    def test_streaming_weighs_stored_mass(self, rng, schema):
+        # a second operand whose masses are twice their specialization
+        # stands for two copies of itself
         for _ in range(10):
-            spaces = [random_space(rng, schema) for _ in range(4)]
-            acc = spaces[0]
-            for sp in spaces[1:]:
-                acc = merge_streaming(acc, sp)
-            assert semantically_equal(acc, merge_nary(spaces))
+            x = random_space(rng, schema, coverage=0.6)
+            y = random_space(rng, schema, coverage=0.6)
+            doubled = DecisionSpace(schema, y.class_labels, tuple(
+                Element(e.region, e.value, 2 * e.mass) for e in y.elements
+            ))
+            assert semantically_equal(merge_streaming(x, doubled), merge_nary([x, y, y]))
+
+    def test_leftover_face_conflicts_as_in_nary(self, schema):
+        # y's first element leaves x only its closed face a0 = 2, which y's
+        # segment element meets: both have measure zero there, so they conflict
+        x = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
+        y = DecisionSpace(schema, ("Yes", "No"), (
+            elem(((0, 2, True, False), (0, 2, True, True)), (0.0, 1.0)),
+            elem(((2, 2, True, True), (0, 2, True, True)), (0.0, 1.0)),
+        ))
+        merged = merge(x, y)
+        assert validate(merged) == []
+        assert semantically_equal(merged, merge_nary([x, y]))
+        assert semantically_equal(merge_streaming(x, y), merged)
+        assert classify(merged, (2.0, 1.0))[0].weights == pytest.approx((2 / 3, 1 / 3))
 
     def test_first_streaming_step_is_plain_merge(self, rng, schema):
         x, y = random_space(rng, schema), random_space(rng, schema)
