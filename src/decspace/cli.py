@@ -8,6 +8,7 @@ All output is deterministic given inputs and flags.
 
 import argparse
 import json
+import math
 import sys
 
 from .conversion import (
@@ -23,7 +24,7 @@ from .laws import report as law_report
 from .laws import run_all as run_laws
 from .model import (
     AttributeSchema,
-    classify,
+    classify_many,
     space_from_json,
     space_to_json,
     validate,
@@ -209,6 +210,8 @@ def _parse_instance(text, dim):
         raise CliError(f"bad instance {text!r}") from exc
     if len(values) != dim:
         raise CliError(f"instance {text!r} has {len(values)} values, need {dim}")
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"instance {text!r} has a non-finite value")
     return values
 
 
@@ -222,8 +225,7 @@ def cmd_classify(args):
             line for line in _read_text(args.instances).splitlines() if line.strip()
         ]
         instances = [_parse_instance(row, dim) for row in rows]
-    for pt in instances:
-        outcome = classify(space, pt)
+    for pt, outcome in zip(instances, classify_many(space, instances)):
         coords = ",".join(f"{v:g}" for v in pt)
         if outcome is None:
             print(f"{coords}\tuncovered")

@@ -5,30 +5,15 @@ carry endpoint-inclusivity flags, so every set operation (intersection,
 difference, union) is exact, including on shared faces.  Measures ignore
 inclusivity; point membership respects it.
 
-The box primitives live in a kernel module with two interchangeable
-implementations: a Cython extension (``_kernels_cy``) and a pure-Python
-fallback (``_kernels_py``).  The extension is used when importable unless
-``DECSPACE_PURE_PYTHON`` is set in the environment.
+The box primitives and bulk point location live in ``kernels``.
 """
 
-import os
 from typing import NamedTuple
 
-if os.environ.get("DECSPACE_PURE_PYTHON"):
-    from . import _kernels_py as _k
+from . import kernels as _k
 
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from . import _kernels_cy as _k  # type: ignore[attr-defined]
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as _k
-
-        KERNEL_BACKEND = "python"
-
-kernels = _k
+# The one kernel implementation; benchmark results record it.
+KERNEL_BACKEND = "python"
 
 
 class Interval(NamedTuple):
@@ -160,7 +145,7 @@ class Region:
     def contains(self, pt):
         if self.boxes and len(pt) != self.dim:
             raise ValueError(f"point of dimension {len(pt)}, region {self.dim}")
-        return _k.locate(self.boxes, range(len(self.boxes)), tuple(pt)) >= 0
+        return _k.locate(self.boxes, range(len(self.boxes)), [pt])[0] >= 0
 
     def issubset(self, other):
         return self.subtract(other).is_empty

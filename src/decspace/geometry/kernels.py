@@ -1,19 +1,22 @@
-"""Pure-Python geometry kernels.
+"""Geometry kernels: the box primitives behind ``Region`` and point lookup.
 
-Reference implementation of the hot primitives: all functions operate on
-plain tuples so that the compiled twin in ``_kernels_cy`` can mirror them
-line for line.  An interval is ``(lo, hi, lo_closed, hi_closed)``, a box is
-a tuple of intervals (one per attribute), and a point is a sequence of
-coordinates.
+The set primitives operate on plain tuples: an interval is
+``(lo, hi, lo_closed, hi_closed)`` and a box is a tuple of intervals (one
+per attribute).  Point location works in bulk on an ``(n, m)`` array of
+points, testing each chunk of points against all boxes at once with numpy.
 
 Empty intervals are represented by ``None`` return values, never by tuples.
 A degenerate interval ``lo == hi`` is only valid when both endpoints are
 closed (a point).
 """
 
-from itertools import product
+import numpy as np
 
 _INF = float("inf")
+
+# ``locate`` tests points in chunks of at most this many point-box pairs,
+# which bounds the size of its temporary arrays.
+_CHUNK_PAIRS = 1 << 17
 
 
 def itv_intersect(a, b):
@@ -55,17 +58,6 @@ def itv_subtract(a, b):
     return out
 
 
-def itv_contains(iv, x):
-    lo, hi, lc, hc = iv
-    if x < lo or x > hi:
-        return False
-    if x == lo and not lc:
-        return False
-    if x == hi and not hc:
-        return False
-    return True
-
-
 def box_intersect(a, b):
     """Componentwise intersection of two boxes, or None when empty."""
     out = []
@@ -94,13 +86,6 @@ def box_subtract(a, b):
             pieces.append(tuple(core[:k]) + (part,) + tuple(a[k + 1:]))
         core[k] = inter[k]
     return pieces
-
-
-def box_contains(box, pt):
-    for k in range(len(box)):
-        if not itv_contains(box[k], pt[k]):
-            return False
-    return True
 
 
 def box_measure(box):
@@ -174,15 +159,31 @@ def boxes_subtract(boxes_a, boxes_b):
     return pieces
 
 
-def locate(boxes, owners, pt):
-    """Owner index of the first box containing ``pt``, or -1."""
-    for i in range(len(boxes)):
-        if box_contains(boxes[i], pt):
-            return owners[i]
-    return -1
+def locate(boxes, owners, points):
+    """Owner index of the first box containing each row of ``points`` (an
+    ``(n, m)`` array-like), or -1 where no box contains it, as an array.
 
-
-def locate_grid(boxes, owners, axes):
-    """Owner indices for every point of the cartesian grid ``axes``,
-    iterated in row-major order."""
-    return [locate(boxes, owners, pt) for pt in product(*axes)]
+    An open bound ``lo`` admits exactly the floats ``>= nextafter(lo, inf)``,
+    so each face is one comparison that respects its inclusivity flag.  NaN
+    coordinates compare false and are never contained.
+    """
+    points = np.asarray(points, dtype=float)
+    if not boxes:
+        return np.full(len(points), -1, dtype=np.intp)
+    bounds = np.array(boxes, dtype=float)  # (boxes, m, 4)
+    ends = bounds[..., :2]
+    ends = np.where(bounds[..., 2:] != 0, ends, np.nextafter(ends, (_INF, -_INF)))
+    lo, hi = ends.T  # each (m, boxes)
+    # a last column that every point hits maps uncovered points to -1
+    owners = np.array([*owners, -1], dtype=np.intp)
+    out = np.empty(len(points), dtype=np.intp)
+    step = max(1, _CHUNK_PAIRS // len(boxes))
+    for start in range(0, len(points), step):
+        chunk = points[start:start + step]
+        hit = np.ones((len(chunk), len(owners)), dtype=bool)
+        inside = hit[:, :-1]
+        for k, coords in enumerate(chunk.T):
+            inside &= coords[:, None] >= lo[k]
+            inside &= coords[:, None] <= hi[k]
+        out[start:start + step] = owners[hit.argmax(axis=1)]
+    return out

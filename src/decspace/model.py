@@ -7,8 +7,9 @@ concurrent reads are safe.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import NamedTuple, Optional
+from typing import NamedTuple
+
+import numpy as np
 
 from .geometry import Region, kernels as _k
 
@@ -221,31 +222,30 @@ def validate(space):
 def classify(space, instance):
     """Distribution and argmax label of the element covering ``instance``,
     or None when no element covers it."""
-    instance = tuple(instance)
-    if len(instance) != len(space.schema):
-        raise ValueError(
-            f"instance has {len(instance)} coordinates, schema {len(space.schema)}"
-        )
-    boxes, owners = space._flat_boxes()
-    idx = _k.locate(boxes, owners, instance)
-    if idx < 0:
-        return None
-    value = space.elements[idx].value
-    return value, value.predicted_label()
+    return classify_many(space, [instance])[0]
 
 
 def classify_many(space, instances):
-    """Bulk classify; one (distribution, label) or None per instance."""
+    """Bulk classify; one (distribution, label) or None per instance.
+
+    Raises ValueError on an instance whose length differs from the schema
+    or that has a non-finite coordinate.
+    """
+    m = len(space.schema)
+    instances = list(instances)
+    bad = {len(row) for row in instances} - {m}
+    if bad:
+        raise ValueError(f"instance has {bad.pop()} coordinates, schema {m}")
+    points = np.array(instances, dtype=float).reshape(len(instances), m)
+    if not np.isfinite(points).all():
+        raise ValueError("instance coordinates must be finite")
     boxes, owners = space._flat_boxes()
-    out = []
-    for pt in instances:
-        idx = _k.locate(boxes, owners, tuple(pt))
-        if idx < 0:
-            out.append(None)
-        else:
-            value = space.elements[idx].value
-            out.append((value, value.predicted_label()))
-    return out
+    hits = _k.locate(boxes, owners, points).tolist()
+    outcomes = {}
+    for i in set(hits) - {-1}:
+        value = space.elements[i].value
+        outcomes[i] = (value, value.predicted_label())
+    return [outcomes.get(i) for i in hits]
 
 
 def _sample_axes(spaces):
@@ -285,11 +285,12 @@ def semantically_equal(a, b, tol=EQUALITY_TOL):
         raise ValueError("class label mismatch")
     b = b.with_labels(a.class_labels) if a.class_labels != b.class_labels else b
     axes = _sample_axes((a, b))
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
     boxes_a, owners_a = a._flat_boxes()
     boxes_b, owners_b = b._flat_boxes()
-    hits_a = _k.locate_grid(boxes_a, owners_a, axes)
-    hits_b = _k.locate_grid(boxes_b, owners_b, axes)
-    for ia, ib in zip(hits_a, hits_b):
+    hits_a = _k.locate(boxes_a, owners_a, grid).tolist()
+    hits_b = _k.locate(boxes_b, owners_b, grid).tolist()
+    for ia, ib in set(zip(hits_a, hits_b)):
         if (ia < 0) != (ib < 0):
             return False
         if ia < 0:

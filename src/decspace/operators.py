@@ -18,7 +18,6 @@ from .model import (
     ClassDistribution,
     DecisionSpace,
     Element,
-    EQUALITY_TOL,
     specialization,
 )
 
@@ -110,17 +109,17 @@ def combine_values(values, masses):
     return ClassDistribution(labels, tuple(w / total for w in weights))
 
 
-def _kept(spaces, tol):
+def _kept(spaces):
     """The subsumption-drop pass: ``(space index, element)`` for every
     element that no element of another space strictly subsumes with a value
-    equal within ``tol``.  Projections are built once per element."""
+    equal within ``EQUALITY_TOL``.  Projections are built once per element."""
     proj = [[_projections(e.region) for e in sp.elements] for sp in spaces]
     return [
         (s, e)
         for s, sp in enumerate(spaces)
         for i, e in enumerate(sp.elements)
         if not any(
-            _strictly_inside(proj[s][i], proj[t][j]) and e.value.close_to(o.value, tol)
+            _strictly_inside(proj[s][i], proj[t][j]) and e.value.close_to(o.value)
             for t, other in enumerate(spaces) if t != s
             for j, o in enumerate(other.elements)
         )
@@ -196,13 +195,13 @@ def intersection_report(x_space, y_space):
     )
 
 
-def _merge(spaces, tol, stored_mass):
+def _merge(spaces, stored_mass):
     """The drop pass, the overlay, then one element per fragment.  An element
     weighs its stored mass if ``stored_mass`` is set, else its region's
     specialization.  A fragment of one element keeps its value, and as mass
     that weight if ``stored_mass`` is set, else its own specialization."""
     spaces = _aligned(spaces)
-    entries = _kept(spaces, tol)
+    entries = _kept(spaces)
     weights = [e.mass if stored_mass else specialization(e.region) for _, e in entries]
     out = []
     for reg, contribs in _overlay(entries):
@@ -221,7 +220,7 @@ def _merge(spaces, tol, stored_mass):
     return DecisionSpace(spaces[0].schema, spaces[0].class_labels, tuple(out))
 
 
-def merge(x_space, y_space, tol=EQUALITY_TOL):
+def merge(x_space, y_space):
     """Conflict-resolving merge of two decision spaces.
 
     Non-conflicting elements are copied; an element strictly subsumed by an
@@ -230,10 +229,10 @@ def merge(x_space, y_space, tol=EQUALITY_TOL):
     weighted average.  The mass of a conflict element accumulates the
     contributors' specializations (consumed by the streaming variant).
     """
-    return _merge([x_space, y_space], tol, stored_mass=False)
+    return _merge([x_space, y_space], stored_mass=False)
 
 
-def merge_streaming(accumulator, next_space, tol=EQUALITY_TOL):
+def merge_streaming(accumulator, next_space):
     """Bias-cancelling sequential merge.
 
     Every element of either operand weighs its stored mass: in the
@@ -242,16 +241,16 @@ def merge_streaming(accumulator, next_space, tol=EQUALITY_TOL):
     keep their mass.  Folding m spaces this way is semantically equal to a
     single m-ary merge of all of them.
     """
-    return _merge([accumulator, next_space], tol, stored_mass=True)
+    return _merge([accumulator, next_space], stored_mass=True)
 
 
-def merge_nary(spaces, tol=EQUALITY_TOL):
+def merge_nary(spaces):
     """m-ary merge: on the overlay arrangement, every cell's value is the
     specialization-weighted average over all covering elements."""
     spaces = list(spaces)
     if not spaces:
         raise ValueError("merge_nary needs at least one decision space")
-    return _merge(spaces, tol, stored_mass=False)
+    return _merge(spaces, stored_mass=False)
 
 
 def restrict(x_space, y_space):
@@ -273,13 +272,13 @@ def restrict(x_space, y_space):
     return DecisionSpace(x_space.schema, x_space.class_labels, tuple(out))
 
 
-def op_plus(x_space, y_space, tol=EQUALITY_TOL):
+def op_plus(x_space, y_space):
     """Merge restricted to the common footprint: (X merge Y) restricted by X
     then by Y, so every output element is backed by both inputs."""
-    return restrict(restrict(merge(x_space, y_space, tol), x_space), y_space)
+    return restrict(restrict(merge(x_space, y_space), x_space), y_space)
 
 
-def op_barodot(x_space, y_space, tol=EQUALITY_TOL):
+def op_barodot(x_space, y_space):
     """Restrict both spaces to each other first, then merge, so conflict
     weights are measured on the common footprint only."""
-    return merge(restrict(x_space, y_space), restrict(y_space, x_space), tol)
+    return merge(restrict(x_space, y_space), restrict(y_space, x_space))

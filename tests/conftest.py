@@ -153,11 +153,19 @@ def random_tree(rng, schema, labels, max_depth):
 
 # -- cell-wise merge oracle --------------------------------------------------
 
-def _covering_element(space, pt):
-    for e in space.elements:
-        if e.region.contains(pt):
-            return e
-    return None
+def _covering_elements(space, pts):
+    """Per row of the point array, the first element whose region contains
+    it, or None; membership is tested interval by interval."""
+    hits = [None] * len(pts)
+    for e in reversed(space.elements):
+        for b in e.region.boxes:
+            inside = np.ones(len(pts), dtype=bool)
+            for x, (lo, hi, lc, hc) in zip(pts.T, b):
+                inside &= (lo < x) | (lc & (x == lo))
+                inside &= (x < hi) | (hc & (x == hi))
+            for i in np.flatnonzero(inside):
+                hits[i] = e
+    return hits
 
 
 def check_merge_against_oracle(x_space, y_space, merged, tol=1e-9):
@@ -173,10 +181,13 @@ def check_merge_against_oracle(x_space, y_space, merged, tol=1e-9):
         [(a + b) / 2.0 for a, b in zip(ax, ax[1:])] for ax in axes
     ]
     labels = merged.class_labels
-    for pt in product(*mids):
-        ex = _covering_element(x_space, pt)
-        ey = _covering_element(y_space, pt)
-        ez = _covering_element(merged, pt)
+    pts = np.array(list(product(*mids)))
+    for pt, ex, ey, ez in zip(
+        pts.tolist(),
+        _covering_elements(x_space, pts),
+        _covering_elements(y_space, pts),
+        _covering_elements(merged, pts),
+    ):
         if ex is None and ey is None:
             assert ez is None, f"spurious coverage at {pt}"
             continue

@@ -20,6 +20,7 @@ from decspace import (
     build_chain,
     build_factored,
     classify,
+    classify_many,
     execute,
     impacts,
     merge,
@@ -154,14 +155,12 @@ def test_criterion_6_conversion_fidelity():
     space = rules_to_space(rules, schema)
     assert len(space.elements) == 5
     rng = np.random.default_rng(23)
-    pts = rng.uniform(0.0, 6.0, size=(10000, 2))
+    pts = [tuple(float(v) for v in pt) for pt in rng.uniform(0.0, 6.0, size=(10000, 2))]
     names = schema.names
-    for pt in pts:
-        pt = tuple(float(v) for v in pt)
+    for pt, got in zip(pts, classify_many(space, pts)):
         expected = next(
             (r.outcome for r in rules.rules if r.evaluate(names, pt)), None
         )
-        got = classify(space, pt)
         assert (got is None) == (expected is None)
         if got is not None:
             assert got[1] == expected
@@ -171,13 +170,12 @@ def test_criterion_6_conversion_fidelity():
     for _ in range(3):
         tree = random_tree(rng, tschema, labels, max_depth=6)
         tspace = tree_to_space(tree, tschema, labels)
-        tpts = rng.uniform(0.0, 8.0, size=(10000, 2))
-        for pt in tpts:
-            pt = tuple(float(v) for v in pt)
+        tpts = [tuple(float(v) for v in pt) for pt in rng.uniform(0.0, 8.0, size=(10000, 2))]
+        for pt, got in zip(tpts, classify_many(tspace, tpts)):
             expected = tree.traverse(tschema.names, pt)
             if isinstance(expected, ClassDistribution):
                 expected = expected.predicted_label()
-            assert classify(tspace, pt)[1] == expected
+            assert got[1] == expected
     print("\nPASS criterion 6: rule and tree conversions agree with direct "
           "evaluation on 10^4-point samples")
 

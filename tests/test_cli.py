@@ -175,6 +175,18 @@ class TestClassifyCommand:
     def test_dimension_mismatch(self, space_file, capsys):
         assert main(["classify", "--space", space_file, "--instance", "3"]) == 1
 
+    @pytest.mark.parametrize("text", ["nan,1", "3,inf"])
+    def test_non_finite_instance(self, space_file, capsys, text):
+        assert main(["classify", "--space", space_file, "--instance", text]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_row(self, tmp_path, space_file, capsys):
+        csv = tmp_path / "pts.csv"
+        csv.write_text("3,3\nnan,1\n")
+        assert main(["classify", "--space", space_file,
+                     "--instances", str(csv)]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestImpactValidateLaws:
     def test_impact_factored(self, capsys):

@@ -181,6 +181,10 @@ class TestContainsPoint:
         assert p.contains((2, 3))
         assert not p.contains((2, 3.0001))
 
+    def test_nan_is_outside(self):
+        r = Region.from_box(closed(0, 4), closed(0, 4))
+        assert not r.contains((float("nan"), 1.0))
+
 
 def _random_region(rng, n_boxes=3, span=8):
     """A random region accumulated by unioning random half-open boxes."""

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -18,6 +19,8 @@ from decspace import (
     validate,
 )
 from decspace.geometry import Region
+
+from conftest import sample_axes
 
 
 @pytest.fixture
@@ -117,6 +120,52 @@ class TestClassify:
         bulk = classify_many(partition_space, pts)
         for pt, got in zip(pts, bulk):
             assert got == classify(partition_space, pt)
+
+    def test_bulk_empty(self, partition_space):
+        assert classify_many(partition_space, []) == []
+
+    @pytest.mark.parametrize("pt", [(3,), (3, 3, 3)])
+    def test_bulk_rejects_wrong_length(self, partition_space, pt):
+        with pytest.raises(ValueError):
+            classify_many(partition_space, [(3, 3), pt])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, partition_space, bad):
+        with pytest.raises(ValueError):
+            classify(partition_space, (bad, 1.0))
+        with pytest.raises(ValueError):
+            classify_many(partition_space, [(3, 3), (1.0, bad)])
+
+    def test_boundaries_follow_inclusivity(self):
+        """Every boundary coordinate and cell midpoint lands in the box whose
+        closed/open faces admit it, checked per interval."""
+        schema = AttributeSchema((("a", 0.0, 4.0), ("b", 0.0, 4.0)))
+        labels = ("P", "Q", "R", "S", "T")
+        boxes = [
+            ((0.0, 2.0, True, True), (0.0, 2.0, True, True)),     # closed
+            ((2.0, 4.0, False, False), (0.0, 2.0, False, False)),  # open
+            ((0.0, 2.0, True, False), (2.0, 4.0, False, True)),    # half-open
+            ((2.0, 4.0, False, True), (2.0, 4.0, True, False)),    # half-open
+            ((2.0, 2.0, True, True), (3.0, 3.0, True, True)),      # point
+        ]
+        space = DecisionSpace(schema, labels, tuple(
+            Element(Region([bx]), ClassDistribution.one_hot(labels, lbl))
+            for bx, lbl in zip(boxes, labels)
+        ))
+        assert validate(space) == []
+
+        def inside(iv, x):
+            lo, hi, lc, hc = iv
+            return (lo < x or (lc and x == lo)) and (x < hi or (hc and x == hi))
+
+        pts = list(itertools.product(*sample_axes(
+            *(e.region for e in space.elements))))
+        for pt, got in zip(pts, classify_many(space, pts)):
+            owners = [lbl for bx, lbl in zip(boxes, labels)
+                      if all(inside(iv, x) for iv, x in zip(bx, pt))]
+            assert len(owners) <= 1, pt
+            want = owners[0] if owners else None
+            assert (got[1] if got else None) == want, pt
 
 
 class TestSpecialization:
