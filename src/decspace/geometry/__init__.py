@@ -8,6 +8,8 @@ inclusivity; point membership respects it.
 The box primitives and bulk point location live in ``kernels``.
 """
 
+import math
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import kernels as _k
@@ -41,6 +43,8 @@ class Interval(NamedTuple):
         return cls(x, x, True, True)
 
     def check(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"interval bounds must be finite: {self.lo}, {self.hi}")
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
@@ -171,6 +175,16 @@ class Region:
                 cur_hi = hi
         return total + (cur_hi - cur_lo)
 
+    def extent(self):
+        """Per attribute, ``(lo, hi)``: the least lower and greatest upper
+        bound of the boxes, without inclusivity flags."""
+        if len(self.boxes) == 1:
+            return tuple(iv[:2] for iv in self.boxes[0])
+        return tuple(
+            (min(map(itemgetter(0), ivs)), max(map(itemgetter(1), ivs)))
+            for ivs in zip(*self.boxes)
+        )
+
     def intervals(self):
         """Boxes as tuples of Interval values (presentation helper)."""
         return tuple(tuple(Interval(*iv) for iv in b) for b in self.boxes)
@@ -185,11 +199,8 @@ class Region:
                 and other.issubset(self))
 
     def __hash__(self):
-        # the extent on every axis depends on the point set only
-        return hash(tuple(
-            (min(b[k][0] for b in self.boxes), max(b[k][1] for b in self.boxes))
-            for k in range(self.dim)
-        ))
+        # the extent depends on the point set only
+        return hash(self.extent())
 
     def __repr__(self):
         if self.is_empty:

@@ -2,8 +2,10 @@
 
 The set primitives operate on plain tuples: an interval is
 ``(lo, hi, lo_closed, hi_closed)`` and a box is a tuple of intervals (one
-per attribute).  Point location works in bulk on an ``(n, m)`` array of
-points, testing each chunk of points against all boxes at once with numpy.
+per attribute).  Coalescing joins adjacent boxes in one pass, finding each
+box's partners by dictionary lookup on its faces.  Point location works in
+bulk on an ``(n, m)`` array of points, testing each chunk of points against
+all boxes at once with numpy.
 
 Empty intervals are represented by ``None`` return values, never by tuples.
 A degenerate interval ``lo == hi`` is only valid when both endpoints are
@@ -95,44 +97,65 @@ def box_measure(box):
     return v
 
 
-def _mergeable(a, b):
-    """Coalesce two boxes identical on all but one dimension and adjacent
-    on the remaining one; returns the merged box or None."""
-    diff = -1
-    for k in range(len(a)):
-        if a[k] != b[k]:
-            if diff >= 0:
-                return None
-            diff = k
-    if diff < 0:
+def _joined(below, above, k):
+    """The union of two boxes identical off axis ``k`` when ``below`` ends
+    on axis k where ``above`` starts and the shared endpoint is closed on at
+    least one side; else None, also for two copies of one box."""
+    lo, hi = below[k], above[k]
+    if lo == hi or not (lo[3] or hi[2]):
         return None
-    ia, ib = a[diff], b[diff]
-    for lo_iv, hi_iv in ((ia, ib), (ib, ia)):
-        if lo_iv[1] == hi_iv[0] and (lo_iv[3] or hi_iv[2]):
-            merged = (lo_iv[0], hi_iv[1], lo_iv[2], hi_iv[3])
-            return a[:diff] + (merged,) + a[diff + 1:]
-    return None
+    return below[:k] + ((lo[0], hi[1], lo[2], hi[3]),) + below[k + 1:]
 
 
 def coalesce(boxes):
-    """Canonicalize a disjoint box set by repeatedly merging adjacent boxes
-    until a fixpoint is reached."""
-    boxes = list(boxes)
-    changed = True
-    while changed:
-        changed = False
-        n = len(boxes)
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = _mergeable(boxes[i], boxes[j])
-                if m is not None:
-                    boxes[i] = m
-                    del boxes[j]
-                    changed = True
-                    break
-            if changed:
+    """Join adjacent boxes of a disjoint box set until no two can be joined.
+
+    Boxes go in, in input order.  Each is joined with the earliest-ranked
+    live box it can be joined with; the joined box keeps the earlier rank
+    and is joined again until it has no partner.  The output is in rank
+    order.  Appending one box to an already coalesced list therefore gives
+    the list that repeatedly joining the first joinable pair would give.
+
+    Partners are looked up, not scanned for: for each axis k, every live
+    box is filed under (k, the box without axis k) by its lower and by its
+    upper end on axis k.
+    """
+    if len(boxes) < 2:
+        return list(boxes)
+    live = {}  # rank -> box
+    lines = {}  # (k, box without axis k) -> ({lower end: ranks}, {upper end: ranks})
+    for rank, b in enumerate(boxes):
+        while True:
+            best = None  # (rank, joined box)
+            for k in range(len(b)):
+                line = lines.get((k, b[:k], b[k + 1:]))
+                if line is None:
+                    continue
+                for r in line[1].get(b[k][0], ()):
+                    if best is None or r < best[0]:
+                        j = _joined(live[r], b, k)
+                        if j is not None:
+                            best = r, j
+                for r in line[0].get(b[k][1], ()):
+                    if best is None or r < best[0]:
+                        j = _joined(b, live[r], k)
+                        if j is not None:
+                            best = r, j
+            if best is None:
                 break
-    return boxes
+            r, b = best
+            partner = live.pop(r)
+            for k in range(len(partner)):
+                lows, highs = lines[k, partner[:k], partner[k + 1:]]
+                lows[partner[k][0]].remove(r)
+                highs[partner[k][1]].remove(r)
+            rank = min(rank, r)
+        live[rank] = b
+        for k in range(len(b)):
+            lows, highs = lines.setdefault((k, b[:k], b[k + 1:]), ({}, {}))
+            lows.setdefault(b[k][0], []).append(rank)
+            highs.setdefault(b[k][1], []).append(rank)
+    return [live[r] for r in sorted(live)]
 
 
 def boxes_intersect(boxes_a, boxes_b):

@@ -8,12 +8,13 @@ so all outputs are bit-reproducible given the configuration.
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Region
+from .geometry import kernels
 from .model import (
     AttributeSchema,
     ClassDistribution,
@@ -92,8 +93,10 @@ def generate_batch(cfg, batch_index):
 
 
 def induce_rules(points, labels, schema, grid):
-    """Stand-in local learner: majority label per grid cell, coalesced into
-    a non-overlapping rule set covering the whole domain."""
+    """Stand-in local learner: majority label per grid cell (ties to the
+    first of ``LABELS``; an empty cell takes the overall majority), each
+    label's cells coalesced in row-major order into a non-overlapping rule
+    set covering the whole domain."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
     if len(points) == 0:
@@ -102,7 +105,7 @@ def induce_rules(points, labels, schema, grid):
     labels = np.asarray(labels)
     m = len(schema)
     edges = [
-        np.linspace(a.domain_min, a.domain_max, grid + 1)
+        np.linspace(a.domain_min, a.domain_max, grid + 1).tolist()
         for a in schema.attributes
     ]
     bins = np.zeros((len(points), m), dtype=int)
@@ -110,28 +113,23 @@ def induce_rules(points, labels, schema, grid):
         bins[:, k] = np.clip(
             np.searchsorted(edges[k], points[:, k], side="right") - 1, 0, grid - 1
         )
-    overall = max(LABELS, key=lambda l: int(np.sum(labels == l)))
     flat = np.ravel_multi_index(bins.T, (grid,) * m)
-    cell_label = {}
-    for cell in np.unique(flat):
-        mask = flat == cell
-        counts = {l: int(np.sum(labels[mask] == l)) for l in LABELS}
-        cell_label[int(cell)] = max(LABELS, key=lambda l: counts[l])
+    counts = np.stack([
+        np.bincount(flat[labels == l], minlength=grid ** m) for l in LABELS
+    ])  # (labels, cells)
+    overall = int(np.argmax(counts.sum(axis=1)))
+    seen = np.bincount(flat, minlength=grid ** m) > 0
+    cell_label = np.where(seen, np.argmax(counts, axis=0), overall)
 
-    per_label = {l: Region.empty() for l in LABELS}
-    for idx in range(grid ** m):
-        label = cell_label.get(idx, overall)
-        coords = np.unravel_index(idx, (grid,) * m)
-        box = []
-        for k, c in enumerate(coords):
-            lo, hi = edges[k][c], edges[k][c + 1]
-            closed_top = c == grid - 1
-            box.append((float(lo), float(hi), True, closed_top))
-        per_label[label] = per_label[label] | Region((tuple(box),), _canonical=True)
-
+    # each axis's cells as intervals; only the top cell is closed above
+    axes = [
+        [(e[c], e[c + 1], True, c == grid - 1) for c in range(grid)]
+        for e in edges
+    ]
+    cells = list(itertools.product(*axes))  # row-major, as ``flat``
     rules = []
-    for label in LABELS:
-        for box in per_label[label].boxes:
+    for i, label in enumerate(LABELS):
+        for box in kernels.coalesce([cells[c] for c in np.flatnonzero(cell_label == i)]):
             conds = []
             for k, a in enumerate(schema.attributes):
                 lo, hi, _, hc = box[k]

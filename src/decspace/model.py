@@ -6,6 +6,7 @@ appear at the JSON boundary.  All types are immutable value objects, so
 concurrent reads are safe.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,6 +37,8 @@ class AttributeSchema:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attribute names in {names}")
         for a in attrs:
+            if not (math.isfinite(a.domain_min) and math.isfinite(a.domain_max)):
+                raise ValueError(f"attribute {a.name!r}: domain must be finite")
             if not a.domain_min < a.domain_max:
                 raise ValueError(
                     f"attribute {a.name!r}: domain_min must be < domain_max"
@@ -73,6 +76,8 @@ class ClassDistribution:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.labels) != len(self.weights):
             raise ValueError("labels and weights differ in length")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError(f"class weights must be finite: {self.weights}")
 
     @classmethod
     def one_hot(cls, labels, label):
@@ -130,11 +135,8 @@ class Element:
             raise ValueError("element region may not be empty")
         if self.mass is None:
             object.__setattr__(self, "mass", specialization(self.region))
-        elif self.mass < 0:
-            raise ValueError("element mass must be >= 0")
-
-    def contains(self, pt):
-        return self.region.contains(pt)
+        elif not 0 <= self.mass < math.inf:
+            raise ValueError(f"element mass must be finite and >= 0: {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -202,12 +204,13 @@ def validate(space):
         if set(e.value.labels) - set(space.class_labels):
             out.append(f"element {i}: distribution over unknown classes")
         s = sum(e.value.weights)
-        if abs(s - 1.0) > SUM_TOL:
+        # written so that NaN fails every range check
+        if not abs(s - 1.0) <= SUM_TOL:
             out.append(f"element {i}: distribution sums to {s:.9f}, not 1")
-        if any(w < 0 or w > 1 for w in e.value.weights):
+        if not all(0 <= w <= 1 for w in e.value.weights):
             out.append(f"element {i}: weight outside [0, 1]")
-        if e.mass < 0:
-            out.append(f"element {i}: negative mass")
+        if not e.mass >= 0:
+            out.append(f"element {i}: mass {e.mass} is not >= 0")
     for i in range(len(space.elements)):
         for j in range(i + 1, len(space.elements)):
             ri = space.elements[i].region

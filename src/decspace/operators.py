@@ -13,6 +13,8 @@ are averaged unweighted when every weight is zero.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import Region
 from .model import (
     ClassDistribution,
@@ -47,12 +49,11 @@ def _projections(region):
     """Per attribute, the extent ``(lo, hi)`` of the region's projection and
     the projection itself as a 1-D Region."""
     out = []
-    for k in range(region.dim):
+    for k, (lo, hi) in enumerate(region.extent()):
         proj = Region.empty()
         for b in region.boxes:
             proj = proj | Region(((b[k],),), _canonical=True)
-        out.append((min(b[k][0] for b in region.boxes),
-                    max(b[k][1] for b in region.boxes), proj))
+        out.append((lo, hi, proj))
     return out
 
 
@@ -76,15 +77,6 @@ def _conflicts(shared, points):
     """Is an overlap a conflict?  Positive measure always is; a measure-zero
     overlap only when both regions (``points``) have measure zero."""
     return not shared.is_empty and (points or shared.measure() > 0)
-
-
-def intersect_with_space(x, space):
-    """All elements of the space whose region conflicts with x's."""
-    point = x.region.measure() == 0
-    return [
-        y for y in space.elements
-        if _conflicts(x.region & y.region, point and y.region.measure() == 0)
-    ]
 
 
 def combine_values(values, masses):
@@ -112,18 +104,43 @@ def combine_values(values, masses):
 def _kept(spaces):
     """The subsumption-drop pass: ``(space index, element)`` for every
     element that no element of another space strictly subsumes with a value
-    equal within ``EQUALITY_TOL``.  Projections are built once per element."""
-    proj = [[_projections(e.region) for e in sp.elements] for sp in spaces]
+    equal within ``EQUALITY_TOL``.
+
+    Candidate pairs come from the extents in bulk: x can strictly subsume y
+    only if x's extent is strictly outside y's on every attribute.  Only
+    candidates with equal values have their projections built, once per
+    element."""
+    entries = [(s, e) for s, sp in enumerate(spaces) for e in sp.elements]
+    ext = np.array([e.region.extent() for _, e in entries], dtype=float)
+    lo, hi = ext.reshape(len(entries), len(spaces[0].schema), 2).transpose(2, 0, 1)
+    space = np.array([s for s, _ in entries])
+    # outside[y, x]: x is in another space, its extent strictly outside y's
+    outside = ((lo[None] < lo[:, None]) & (hi[:, None] < hi[None])).all(axis=2)
+    outside &= space[:, None] != space[None]
+    candidates = [[] for _ in entries]
+    for y, x in np.argwhere(outside).tolist():
+        candidates[y].append(x)
+    proj = {}
+
+    def projections(k):
+        if k not in proj:
+            proj[k] = _projections(entries[k][1].region)
+        return proj[k]
+
     return [
-        (s, e)
-        for s, sp in enumerate(spaces)
-        for i, e in enumerate(sp.elements)
+        (s, e) for y, (s, e) in enumerate(entries)
         if not any(
-            _strictly_inside(proj[s][i], proj[t][j]) and e.value.close_to(o.value)
-            for t, other in enumerate(spaces) if t != s
-            for j, o in enumerate(other.elements)
+            e.value.close_to(entries[x][1].value)
+            and _strictly_inside(projections(y), projections(x))
+            for x in candidates[y]
         )
     ]
+
+
+def _apart(a, b):
+    """Do two extents miss each other on some attribute?  Touching ends do
+    not: closed shared faces and point regions can still meet there."""
+    return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a, b))
 
 
 def _overlay(entries):
@@ -134,34 +151,36 @@ def _overlay(entries):
     which gains the entry as a contributor, and the rest.  The part of the
     entry that no earlier fragment holds becomes a fragment of its own, so a
     closed face shared without conflict stays with the earlier fragment.
+    A fragment whose extent misses the entry's is skipped untested.
     Returns ``[(Region, contributor entry indices)]``.
     """
-    frags = []  # (Region, contributor entry indices, bit set of their spaces)
+    # (Region, its extent, contributor entry indices, bit set of their spaces)
+    frags = []
     for k, (s, e) in enumerate(entries):
         bit = 1 << s
         point = e.region.measure() == 0
+        ext = e.region.extent()
         rest = e.region
         nxt = []
         for frag in frags:
-            reg, contribs, spaces = frag
+            reg, fext, contribs, spaces = frag
             # elements of one space are pairwise disjoint, so a fragment
             # inside one of them cannot meet another
-            shared = None if spaces & bit else reg & e.region
-            if shared is None or shared.is_empty:
+            if spaces & bit or _apart(fext, ext) or (shared := reg & e.region).is_empty:
                 nxt.append(frag)
                 continue
             rest = rest - shared
             if _conflicts(shared, point and reg.measure() == 0):
-                nxt.append((shared, contribs + (k,), spaces | bit))
+                nxt.append((shared, shared.extent(), contribs + (k,), spaces | bit))
                 reg = reg - shared
                 if reg.is_empty:
                     continue
-                frag = (reg, contribs, spaces)
+                frag = (reg, reg.extent(), contribs, spaces)
             nxt.append(frag)
         if not rest.is_empty:
-            nxt.append((rest, (k,), bit))
+            nxt.append((rest, rest.extent(), (k,), bit))
         frags = nxt
-    return [(reg, contribs) for reg, contribs, _ in frags]
+    return [(reg, contribs) for reg, _, contribs, _ in frags]
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,20 @@ def raster(region, axes):
     return {pt for pt in product(*axes) if region.contains(pt)}
 
 
+def join(a, b):
+    """Reference join of two boxes, or None: they must be identical on all
+    axes but one and adjacent on that one, the shared endpoint closed on at
+    least one side."""
+    diff = [k for k in range(len(a)) if a[k] != b[k]]
+    if len(diff) != 1:
+        return None
+    (k,) = diff
+    for lo, hi in ((a[k], b[k]), (b[k], a[k])):
+        if lo[1] == hi[0] and (lo[3] or hi[2]):
+            return a[:k] + ((lo[0], hi[1], lo[2], hi[3]),) + a[k + 1:]
+    return None
+
+
 # -- random model generators -------------------------------------------------
 
 def boxes_to_rules(space, outcomes):

@@ -13,6 +13,15 @@ SCHEMA_JSON = [
 ]
 
 
+# each edit puts one non-finite number into a valid space document
+NON_FINITE = {
+    "nan-weight": lambda doc: doc["elements"][0]["value"].__setitem__(0, float("nan")),
+    "nan-mass": lambda doc: doc["elements"][0].__setitem__("mass", float("nan")),
+    "nan-bound": lambda doc: doc["elements"][0]["boxes"][0]["age"].__setitem__(1, float("nan")),
+    "inf-domain": lambda doc: doc["schema"][0].__setitem__("max", float("inf")),
+}
+
+
 @pytest.fixture
 def rules_file(tmp_path):
     p = tmp_path / "rules.txt"
@@ -205,6 +214,20 @@ class TestImpactValidateLaws:
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--in", str(bad)]) == 2
         assert "overlap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["merge", "validate"])
+    @pytest.mark.parametrize("defect", sorted(NON_FINITE))
+    def test_non_finite_document_fails(self, tmp_path, space_file, capsys,
+                                       command, defect):
+        doc = json.loads(open(space_file).read())
+        NON_FINITE[defect](doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        args = {
+            "merge": ["merge", "--in", str(bad), "--out", str(tmp_path / "m.json")],
+            "validate": ["validate", "--in", str(bad)],
+        }[command]
+        assert main(args) in (1, 2)
 
     def test_laws_report(self, capsys):
         assert main(["laws", "--trials", "3", "--seed", "5"]) == 0

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from decspace.geometry import Interval, Region, box, interval_intersect
+from decspace.geometry import Interval, Region, box, interval_intersect, kernels
 
-from conftest import raster, sample_axes
+from conftest import join, raster, sample_axes
 
 
 def half_open(lo, hi):
@@ -36,6 +36,15 @@ class TestInterval:
             Interval(3, 3, True, False).check()
         with pytest.raises(ValueError):
             Interval(5, 3).check()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_bounds_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Interval(bad, 1.0).check()
+        with pytest.raises(ValueError):
+            Interval(0.0, bad).check()
+        with pytest.raises(ValueError):
+            Region((((0.0, bad, True, True),),))
 
     def test_box_builder_validates(self):
         assert len(box((0, 1), (2, 3, True, True))) == 2
@@ -237,3 +246,72 @@ class TestRandomizedInvariants:
             recomposed = (a - b) | (a & b)
             axes = sample_axes(a, b)
             assert raster(recomposed, axes) == raster(a, axes)
+
+
+def _cut(rng, boxes, b, k, side):
+    """Cut box ``b`` on axis k at a random 3-decimal coordinate, which goes
+    to the lower part (side 0), the upper part (side 1) or a closed slab of
+    its own (side 2).  The parts go to ``boxes``; returns the slab or None."""
+    lo, hi, lc, hc = b[k]
+    cut = round(float(rng.uniform(lo, hi)), 3)
+    if not lo < cut < hi:
+        boxes.append(b)
+        return None
+    for iv in ((lo, cut, lc, side == 0), (cut, hi, side == 1, hc)):
+        boxes.append(b[:k] + (iv,) + b[k + 1:])
+    return b[:k] + ((cut, cut, True, True),) + b[k + 1:] if side == 2 else None
+
+
+def _random_disjoint_boxes(rng, m):
+    """Disjoint boxes from random guillotine cuts of [0, 10]^m.  A slab cut
+    out on one axis is cut down to a point box half the time.  Some boxes
+    are dropped and the rest shuffled."""
+    boxes = [tuple((0.0, 10.0, True, True) for _ in range(m))]
+    for _ in range(int(rng.integers(3, 9))):
+        b = boxes.pop(int(rng.integers(0, len(boxes))))
+        k = int(rng.integers(0, m))
+        if b[k][0] == b[k][1]:
+            boxes.append(b)
+            continue
+        slab = _cut(rng, boxes, b, k, int(rng.integers(0, 3)))
+        if slab is not None and rng.random() < 0.5:
+            for j in range(m):
+                if slab is not None and slab[j][0] < slab[j][1]:
+                    slab = _cut(rng, boxes, slab, j, 2)
+        if slab is not None:
+            boxes.append(slab)
+    keep = rng.random(len(boxes)) < 0.8
+    boxes = [b for b, k in zip(boxes, keep) if k] or boxes[:1]
+    return [boxes[i] for i in rng.permutation(len(boxes))]
+
+
+class TestCoalesce:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_random_disjoint_sets(self, rng, m):
+        for _ in range(40):
+            boxes = _random_disjoint_boxes(rng, m)
+            out = kernels.coalesce(boxes)
+            for a, b in itertools.combinations(out, 2):
+                assert kernels.box_intersect(a, b) is None
+                assert join(a, b) is None
+            before = Region(boxes, _canonical=True)
+            after = Region(out, _canonical=True)
+            axes = sample_axes(before, after)
+            grid = np.stack(
+                [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1
+            )
+            assert np.array_equal(
+                kernels.locate(boxes, [0] * len(boxes), grid),
+                kernels.locate(out, [0] * len(out), grid),
+            )
+
+    def test_joins_with_earliest_partner(self):
+        # c can join a or b: it joins a, the earlier, keeps a's place and
+        # then absorbs b
+        a = ((0.0, 1.0, True, False), (0.0, 1.0, True, False))
+        b = ((2.0, 3.0, True, False), (0.0, 1.0, True, False))
+        c = ((1.0, 2.0, True, False), (0.0, 1.0, True, False))
+        d = ((5.0, 6.0, True, False), (0.0, 1.0, True, False))
+        assert kernels.coalesce([a, d, b, c]) == [
+            ((0.0, 3.0, True, False), (0.0, 1.0, True, False)), d,
+        ]

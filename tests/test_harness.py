@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from decspace import AttributeSchema, classify, rules_to_space, validate
+from decspace import AttributeSchema, Rule, RuleSet, classify, rules_to_space, validate
 from decspace.harness import (
     LABELS,
     PRE_DRIFT_CUT,
@@ -10,6 +12,8 @@ from decspace.harness import (
     induce_rules,
     run_experiment,
 )
+
+from conftest import join
 
 
 @pytest.fixture
@@ -77,6 +81,65 @@ class TestGenerateBatch:
         assert frac == pytest.approx(PRE_DRIFT_CUT, abs=0.02)
 
 
+def _fixpoint_coalesce(boxes):
+    """Join the first joinable pair of boxes, then start over, until no pair
+    can be joined."""
+    boxes = list(boxes)
+    while True:
+        for i, j in itertools.combinations(range(len(boxes)), 2):
+            joined = join(boxes[i], boxes[j])
+            if joined is not None:
+                boxes[i] = joined
+                del boxes[j]
+                break
+        else:
+            return boxes
+
+
+def _per_cell_union_rules(points, labels, schema, grid):
+    """Reference learner: a majority vote per cell, then each cell box is
+    added to its label's region by a union with a fixpoint coalesce."""
+    m = len(schema)
+    edges = [
+        np.linspace(a.domain_min, a.domain_max, grid + 1)
+        for a in schema.attributes
+    ]
+    bins = np.zeros((len(points), m), dtype=int)
+    for k in range(m):
+        bins[:, k] = np.clip(
+            np.searchsorted(edges[k], points[:, k], side="right") - 1, 0, grid - 1
+        )
+    overall = max(LABELS, key=lambda l: int(np.sum(labels == l)))
+    flat = np.ravel_multi_index(bins.T, (grid,) * m)
+    cell_label = {}
+    for cell in np.unique(flat):
+        mask = flat == cell
+        counts = {l: int(np.sum(labels[mask] == l)) for l in LABELS}
+        cell_label[int(cell)] = max(LABELS, key=lambda l: counts[l])
+    per_label = {l: [] for l in LABELS}
+    for idx in range(grid ** m):
+        label = cell_label.get(idx, overall)
+        coords = np.unravel_index(idx, (grid,) * m)
+        box = tuple(
+            (float(edges[k][c]), float(edges[k][c + 1]), True, c == grid - 1)
+            for k, c in enumerate(coords)
+        )
+        # the cell is disjoint from the region, so the union appends it
+        per_label[label] = _fixpoint_coalesce(per_label[label] + [box])
+    rules = []
+    for label in LABELS:
+        for box in per_label[label]:
+            conds = []
+            for k, a in enumerate(schema.attributes):
+                lo, hi, _, _ = box[k]
+                if lo > a.domain_min:
+                    conds.append((a.name, ">=", lo))
+                if hi < a.domain_max:
+                    conds.append((a.name, "<", hi))
+            rules.append(Rule(tuple(conds), label))
+    return RuleSet(tuple(rules))
+
+
 class TestInduceRules:
     def test_single_class_collapses_to_one_rule(self, cfg):
         points = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
@@ -108,6 +171,18 @@ class TestInduceRules:
         )
         baseline = max(np.mean(labels == l) for l in LABELS)
         assert hits / len(labels) >= baseline
+
+    @pytest.mark.parametrize("m, grid", [(2, 5), (2, 16), (2, 20), (3, 6)])
+    def test_matches_per_cell_union(self, m, grid):
+        # drift-chain's accuracy reference depends on the exact rule list:
+        # every rule becomes one element, weighted by its own specialization
+        schema = AttributeSchema(tuple((f"x{k}", 0.0, 10.0) for k in range(m)))
+        rng = np.random.default_rng([m, grid])
+        points = rng.uniform(0, 10, size=(400, m))
+        noisy = points[:, 0] + rng.normal(0, 2, len(points))
+        labels = np.where(noisy < 5.0, LABELS[0], LABELS[1])
+        expected = _per_cell_union_rules(points, labels, schema, grid)
+        assert induce_rules(points, labels, schema, grid) == expected
 
     def test_empty_instances_rejected(self, cfg):
         with pytest.raises(ValueError):

@@ -22,6 +22,8 @@ from decspace.geometry import Region
 
 from conftest import sample_axes
 
+NAN, INF = float("nan"), float("inf")
+
 
 @pytest.fixture
 def partition_space(partition_rules_text, partition_schema):
@@ -41,6 +43,11 @@ class TestSchema:
     def test_inverted_domain_rejected(self):
         with pytest.raises(ValueError):
             AttributeSchema((("a", 2, 1),))
+
+    @pytest.mark.parametrize("lo, hi", [(0, INF), (-INF, 0), (NAN, 1), (0, NAN)])
+    def test_non_finite_domain_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            AttributeSchema((("a", lo, hi),))
 
     def test_index_lookup(self, partition_schema):
         assert partition_schema.index("degree") == 1
@@ -62,9 +69,21 @@ class TestClassDistribution:
         d = ClassDistribution(("No", "Yes"), (0.5, 0.5))
         assert d.predicted_label() == "No"
 
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ClassDistribution(("Yes", "No"), (bad, 0.5))
+
     def test_percentages_rounded_to_six_places(self):
         d = ClassDistribution(("Yes", "No"), (3.0 / 14.0, 11.0 / 14.0))
         assert d.as_percentages() == (21.428571, 78.571429)
+
+
+class TestElement:
+    @pytest.mark.parametrize("bad", [NAN, INF, -1.0])
+    def test_bad_mass_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Element(Region.from_box((0, 1, True, False)), two_class(1.0), bad)
 
 
 class TestValidate:
@@ -88,6 +107,19 @@ class TestValidate:
             ),),
         )
         assert any("sums to" in v for v in validate(space))
+
+    def test_nan_fails_range_checks(self, partition_schema):
+        e = Element(
+            Region.from_box((0, 1, True, False), (0, 1, True, False)),
+            ClassDistribution(("A", "B"), (0.5, 0.5)),
+        )
+        # the constructors reject NaN, so inject it past them
+        object.__setattr__(e.value, "weights", (NAN, 0.5))
+        object.__setattr__(e, "mass", NAN)
+        problems = validate(DecisionSpace(partition_schema, ("A", "B"), (e,)))
+        assert any("sums to" in v for v in problems)
+        assert any("weight outside" in v for v in problems)
+        assert any("mass nan" in v for v in problems)
 
     def test_region_outside_domain(self, partition_schema):
         space = DecisionSpace(

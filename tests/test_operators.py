@@ -20,7 +20,6 @@ from decspace import (
     validate,
 )
 from decspace.geometry import Region
-from decspace.operators import intersect_with_space
 from decspace.sampling import DEFAULT_SCHEMA, random_space
 
 from conftest import check_merge_against_oracle
@@ -61,19 +60,21 @@ class TestSubsumption:
 
 class TestIntersectWithSpace:
     def test_disjoint(self, schema):
-        x = elem(((0, 2, True, False), (0, 2, True, False)), (1.0, 0.0))
+        x = single_space(schema, ((0, 2, True, False), (0, 2, True, False)), (1.0, 0.0))
         other = single_space(schema, ((4, 6, True, False), (4, 6, True, False)), (0.0, 1.0))
-        assert intersect_with_space(x, other) == []
+        assert intersection_report(x, other).pairs == ()
 
     def test_single_conflict(self, overlap_pair):
         grey, checker = overlap_pair
-        hits = intersect_with_space(grey.elements[0], checker)
-        assert hits == [checker.elements[0]]
+        rep = intersection_report(grey, checker)
+        assert rep.pairs == (
+            (0, 0, Region.from_box((7.0, 8.0, True, True), (3.0, 10.0, True, True))),
+        )
 
     def test_face_touch_is_not_a_conflict(self, schema):
-        x = elem(((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
+        x = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
         other = single_space(schema, ((2, 4, True, True), (0, 2, True, True)), (0.0, 1.0))
-        assert intersect_with_space(x, other) == []
+        assert intersection_report(x, other).pairs == ()
 
     def test_report_remainders_disjoint_from_shared(self, overlap_pair):
         grey, checker = overlap_pair
@@ -90,6 +91,50 @@ class TestIntersectWithSpace:
         assert rep.pairs == ()
         assert rep.x_remainders[0] == x.elements[0].region
         assert rep.y_remainders[0] == Region.from_box((2, 4, False, True), (0, 2, True, True))
+
+
+class TestTouchingExtents:
+    """Extents that meet at exactly one endpoint are not pruned from the
+    overlay: the shared corner or face stays with the earlier operand, so
+    the later one's leftover excludes it."""
+
+    @staticmethod
+    def summary(space):
+        return [(e.region, e.value.weights, e.mass) for e in space.elements]
+
+    def check(self, x, y, x_first, y_first):
+        for got in (merge(x, y), merge_nary([x, y])):
+            assert self.summary(got) == x_first
+        for got in (merge(y, x), merge_nary([y, x])):
+            assert self.summary(got) == y_first
+        for a, b, merged in ((x, y, x_first), (y, x, y_first)):
+            rep = intersection_report(a, b)
+            assert rep.pairs == ()
+            leftovers = [rep.x_remainders[0], rep.y_remainders[0]]
+            assert [r for r in leftovers if not r.is_empty] == [
+                reg for reg, _, _ in merged
+            ]
+
+    def test_point_on_box_corner(self, schema):
+        point = single_space(schema, ((2, 2, True, True), (2, 2, True, True)), (1.0, 0.0))
+        box = single_space(schema, ((2, 6, True, True), (2, 6, True, True)), (0.0, 1.0))
+        p, b = point.elements[0].region, box.elements[0].region
+        self.check(
+            point, box,
+            [(p, (1.0, 0.0), 0.0), (b - p, (0.0, 1.0), 4.0)],
+            [(b, (0.0, 1.0), 4.0)],
+        )
+
+    def test_closed_boxes_sharing_a_face(self, schema):
+        left = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
+        right = single_space(schema, ((2, 4, True, True), (0, 2, True, True)), (0.25, 0.75))
+        self.check(
+            left, right,
+            [(left.elements[0].region, (1.0, 0.0), 2.0),
+             (Region.from_box((2, 4, False, True), (0, 2, True, True)), (0.25, 0.75), 2.0)],
+            [(right.elements[0].region, (0.25, 0.75), 2.0),
+             (Region.from_box((0, 2, True, False), (0, 2, True, True)), (1.0, 0.0), 2.0)],
+        )
 
 
 class TestCombineValues:
