@@ -7,9 +7,14 @@ All output is deterministic given inputs and flags.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from itertools import chain
+from operator import methodcaller
+
+import numpy as np
 
 from .conversion import (
     OverlappingRulesError,
@@ -215,26 +220,55 @@ def _parse_instance(text, dim):
     return values
 
 
+def _parse_instances(rows, dim):
+    """The instance rows as one ``(len(rows), dim)`` array, parsed in bulk.
+
+    When a row is bad, the error is the one ``_parse_instance`` gives for
+    the first bad row in file order, whatever makes it bad.
+    """
+    if set(map(methodcaller("count", ","), rows)) <= {dim - 1}:
+        fields = chain.from_iterable(map(methodcaller("split", ","), rows))
+        with contextlib.suppress(ValueError):
+            points = np.fromiter(map(float, fields), float,
+                                 len(rows) * dim).reshape(len(rows), dim)
+            if np.isfinite(points).all():
+                return points
+    # some row is bad: parsing row by row raises for the first one
+    return np.array([_parse_instance(row, dim) for row in rows])
+
+
+def _outcome_tail(outcome):
+    """The part of an output line after the coordinates."""
+    if outcome is None:
+        return "\tuncovered\n"
+    dist, label = outcome
+    rendered = ", ".join(
+        f"{l}={p:.6f}%" for l, p in zip(dist.labels, dist.as_percentages())
+    )
+    return f"\t{label}\t{rendered}\n"
+
+
 def cmd_classify(args):
     space = _read_space(args.space)
     dim = len(space.schema)
     if args.instance is not None:
-        instances = [_parse_instance(args.instance, dim)]
+        rows = [args.instance]
     else:
         rows = [
             line for line in _read_text(args.instances).splitlines() if line.strip()
         ]
-        instances = [_parse_instance(row, dim) for row in rows]
-    for pt, outcome in zip(instances, classify_many(space, instances)):
-        coords = ",".join(f"{v:g}" for v in pt)
-        if outcome is None:
-            print(f"{coords}\tuncovered")
-        else:
-            dist, label = outcome
-            rendered = ", ".join(
-                f"{l}={p:.6f}%" for l, p in zip(dist.labels, dist.as_percentages())
-            )
-            print(f"{coords}\t{label}\t{rendered}")
+    points = _parse_instances(rows, dim)
+    del rows  # else the row strings stay alive through the output
+    outcomes = classify_many(space, points)
+    # classify_many shares one outcome object per element: render each once
+    distinct = {id(o): o for o in outcomes}
+    tails = {key: _outcome_tail(o) for key, o in distinct.items()}
+    # "%g" renders a float as f"{v:g}" does
+    coords = ",".join(["%g"] * dim)
+    sys.stdout.writelines(
+        coords % pt + tails[id(o)]
+        for pt, o in zip(map(tuple, points.tolist()), outcomes)
+    )
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .model import (
     ClassDistribution,
     DecisionSpace,
     Element,
-    validate,
+    overlap_violations,
 )
 
 UPPER_OPS = ("<", "<=")
@@ -285,7 +285,7 @@ def rules_to_space(rules, schema, class_labels=None):
             value = r.outcome.extended(class_labels)
         elems.append(Element(Region((box,)), value))
     space = DecisionSpace(schema, class_labels, tuple(elems))
-    violations = [v for v in validate(space) if "overlap" in v]
+    violations = overlap_violations(space)
     if violations:
         raise OverlappingRulesError(violations)
     return space

@@ -118,14 +118,17 @@ def coalesce(boxes):
 
     Partners are looked up, not scanned for: for each axis k, every live
     box is filed under (k, the box without axis k) by its lower and by its
-    upper end on axis k.
+    upper end on axis k.  The first box has nothing to look up and the last
+    is looked up by nothing, so neither pays for it.
     """
     if len(boxes) < 2:
         return list(boxes)
     live = {}  # rank -> box
     lines = {}  # (k, box without axis k) -> ({lower end: ranks}, {upper end: ranks})
+    last = len(boxes) - 1
     for rank, b in enumerate(boxes):
-        while True:
+        is_last = rank == last
+        while live:
             best = None  # (rank, joined box)
             for k in range(len(b)):
                 line = lines.get((k, b[:k], b[k + 1:]))
@@ -151,6 +154,8 @@ def coalesce(boxes):
                 highs[partner[k][1]].remove(r)
             rank = min(rank, r)
         live[rank] = b
+        if is_last:
+            break
         for k in range(len(b)):
             lows, highs = lines.setdefault((k, b[:k], b[k + 1:]), ({}, {}))
             lows.setdefault(b[k][0], []).append(rank)

@@ -211,15 +211,32 @@ def validate(space):
             out.append(f"element {i}: weight outside [0, 1]")
         if not e.mass >= 0:
             out.append(f"element {i}: mass {e.mass} is not >= 0")
-    for i in range(len(space.elements)):
-        for j in range(i + 1, len(space.elements)):
-            ri = space.elements[i].region
-            rj = space.elements[j].region
-            if ri.is_empty or rj.is_empty:
-                continue
-            if _k.boxes_intersect(ri.boxes, rj.boxes):
-                out.append(f"elements {i} and {j}: regions overlap")
+    out.extend(overlap_violations(space))
     return out
+
+
+def overlap_violations(space):
+    """One message per pair of elements whose regions overlap, in index
+    order: the overlap part of ``validate``.
+
+    Candidate pairs come from the element extents in one numpy pass.
+    Touching ends count, so closed shared faces and point elements are
+    still seen; an element whose dimension is not the schema's is a
+    candidate with every other.  Only candidates are intersected box by box.
+    """
+    regions = [e.region for e in space.elements]
+    m = len(space.schema)
+    anywhere = ((-math.inf, math.inf),) * m
+    ext = np.array([r.extent() if r.dim == m else anywhere for r in regions],
+                   dtype=float).reshape(len(regions), m, 2)
+    lo, hi = ext[..., 0], ext[..., 1]
+    # written so that a NaN bound keeps the pair a candidate
+    apart = ((lo[:, None] > hi[None]) | (lo[None] > hi[:, None])).any(axis=2)
+    return [
+        f"elements {i} and {j}: regions overlap"
+        for i, j in np.argwhere(np.triu(~apart, 1)).tolist()
+        if _k.boxes_intersect(regions[i].boxes, regions[j].boxes)
+    ]
 
 
 def classify(space, instance):
@@ -231,15 +248,23 @@ def classify(space, instance):
 def classify_many(space, instances):
     """Bulk classify; one (distribution, label) or None per instance.
 
-    Raises ValueError on an instance whose length differs from the schema
-    or that has a non-finite coordinate.
+    ``instances`` is an iterable of coordinate sequences or an ``(n, m)``
+    array, used as it is.  Every instance that an element covers gets the
+    same (distribution, label) object as the others it covers.  Raises
+    ValueError on an instance whose length differs from the schema or that
+    has a non-finite coordinate.
     """
     m = len(space.schema)
-    instances = list(instances)
-    bad = {len(row) for row in instances} - {m}
-    if bad:
-        raise ValueError(f"instance has {bad.pop()} coordinates, schema {m}")
-    points = np.array(instances, dtype=float).reshape(len(instances), m)
+    if isinstance(instances, np.ndarray):
+        if instances.ndim != 2 or instances.shape[1] != m:
+            raise ValueError(f"instances of shape {instances.shape}, schema {m}")
+        points = np.asarray(instances, dtype=float)
+    else:
+        instances = list(instances)
+        bad = {len(row) for row in instances} - {m}
+        if bad:
+            raise ValueError(f"instance has {bad.pop()} coordinates, schema {m}")
+        points = np.array(instances, dtype=float).reshape(len(instances), m)
     if not np.isfinite(points).all():
         raise ValueError("instance coordinates must be finite")
     boxes, owners = space._flat_boxes()

@@ -2,8 +2,18 @@ import json
 
 import pytest
 
-from decspace import semantically_equal, space_from_json
+from decspace import (
+    AttributeSchema,
+    ClassDistribution,
+    DecisionSpace,
+    Element,
+    classify,
+    semantically_equal,
+    space_from_json,
+    space_to_json,
+)
 from decspace.cli import main
+from decspace.geometry import Region
 
 from conftest import RULES_TEXT, make_overlap_pair
 
@@ -195,6 +205,113 @@ class TestClassifyCommand:
         assert main(["classify", "--space", space_file,
                      "--instances", str(csv)]) == 1
         assert capsys.readouterr().out == ""
+
+
+# awkward coordinates for the %g renderer and the bulk parser
+COORDS = ["-0.0", "1e-7", "1e16", "123456789", "64", "0", "32", "48.5", "+16"]
+
+
+@pytest.fixture
+def mixed_space_file(tmp_path):
+    """Closed and open faces, one-hot and fractional values, a point
+    element, and uncovered parts of the domain."""
+    schema = AttributeSchema((("a", 0.0, 64.0), ("b", 0.0, 64.0)))
+    labels = ("A", "B", "C")
+    parts = [
+        (((0, 32, True, True), (0, 32, True, True)), (1.0, 0.0, 0.0)),
+        (((32, 64, False, True), (0, 32, True, False)), (0.25, 0.75, 0.0)),
+        (((0, 32, True, False), (32, 64, False, False)), (1 / 3, 1 / 3, 1 / 3)),
+        (((64, 64, True, True), (64, 64, True, True)), (0.0, 0.0, 1.0)),
+    ]
+    space = DecisionSpace(schema, labels, tuple(
+        Element(Region([bx]), ClassDistribution(labels, w)) for bx, w in parts
+    ))
+    out = tmp_path / "mixed.json"
+    out.write_text(json.dumps(space_to_json(space)))
+    return str(out)
+
+
+def reference_output(space_path, rows):
+    """The output of classifying each row on its own, rendered per row."""
+    with open(space_path) as fh:
+        space = space_from_json(json.load(fh))
+    lines = []
+    for row in rows:
+        pt = tuple(float(v) for v in row.split(","))
+        coords = ",".join(f"{v:g}" for v in pt)
+        outcome = classify(space, pt)
+        if outcome is None:
+            lines.append(f"{coords}\tuncovered\n")
+        else:
+            dist, label = outcome
+            rendered = ", ".join(
+                f"{l}={p:.6f}%" for l, p in zip(dist.labels, dist.as_percentages())
+            )
+            lines.append(f"{coords}\t{label}\t{rendered}\n")
+    return "".join(lines)
+
+
+class TestBulkClassify:
+    def test_matches_per_row_reference(self, tmp_path, mixed_space_file, capsys):
+        rows = [f"{x},{y}" for x in COORDS for y in COORDS]
+        csv = tmp_path / "pts.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        assert main(["classify", "--space", mixed_space_file,
+                     "--instances", str(csv)]) == 0
+        out = capsys.readouterr().out
+        assert out == reference_output(mixed_space_file, rows)
+        assert "uncovered" in out and "C=100.000000%" in out
+        assert "A=33.333333%" in out and "B=75.000000%" in out
+
+    @pytest.mark.parametrize("v", [
+        -0.0, 1e-7, 1e16, 123456789.0, 64.0, 0.1 + 0.2, 1 / 3, 5e-324,
+        1.7976931348623157e308, 999999.5, 1e-5, 123456.5, -2.5e-300,
+    ])
+    def test_percent_g_equals_format_g(self, v):
+        assert "%g,%g,%g" % (v, -v, 1.0) == ",".join(f"{x:g}" for x in (v, -v, 1.0))
+
+    def test_blank_lines_skipped(self, tmp_path, mixed_space_file, capsys):
+        csv = tmp_path / "pts.csv"
+        csv.write_text("\n1,1\n  \n\n64,64\n\t\n")
+        assert main(["classify", "--space", mixed_space_file,
+                     "--instances", str(csv)]) == 0
+        out = capsys.readouterr().out
+        assert out == reference_output(mixed_space_file, ["1,1", "64,64"])
+
+    def test_empty_file_prints_nothing(self, tmp_path, mixed_space_file, capsys):
+        csv = tmp_path / "pts.csv"
+        csv.write_text("")
+        assert main(["classify", "--space", mixed_space_file,
+                     "--instances", str(csv)]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("row", ["-0.0,1e-7", "64,64", "48.5,+16", "1e16,0"])
+    def test_single_instance_same_path(self, tmp_path, mixed_space_file, capsys, row):
+        assert main(["classify", "--space", mixed_space_file,
+                     f"--instance={row}"]) == 0
+        single = capsys.readouterr().out
+        csv = tmp_path / "pts.csv"
+        csv.write_text(row + "\n")
+        assert main(["classify", "--space", mixed_space_file,
+                     "--instances", str(csv)]) == 0
+        assert single == capsys.readouterr().out
+        assert single == reference_output(mixed_space_file, [row])
+
+    @pytest.mark.parametrize("text, error", [
+        ("1,1\nx,1\nnan,1\n", "bad instance 'x,1'"),
+        ("1,1\ninf,1\nx,1\n", "instance 'inf,1' has a non-finite value"),
+        ("1,1\n1,2,3\nnan,1\n", "instance '1,2,3' has 3 values, need 2"),
+        ("1,1\nnan,1\n1\n", "instance 'nan,1' has a non-finite value"),
+    ])
+    def test_first_bad_row_gives_the_error(self, tmp_path, mixed_space_file,
+                                           capsys, text, error):
+        csv = tmp_path / "pts.csv"
+        csv.write_text(text)
+        assert main(["classify", "--space", mixed_space_file,
+                     "--instances", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
 
 class TestImpactValidateLaws:

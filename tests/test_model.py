@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from decspace import (
@@ -18,7 +19,8 @@ from decspace import (
     specialization,
     validate,
 )
-from decspace.geometry import Region
+from decspace.geometry import Region, kernels
+from decspace.model import overlap_violations
 
 from conftest import sample_axes
 
@@ -132,6 +134,46 @@ class TestValidate:
         assert any("exceeds" in v for v in validate(space))
 
 
+def all_pairs_overlaps(space):
+    """The overlap messages of a test of every pair of elements."""
+    els = space.elements
+    return [
+        f"elements {i} and {j}: regions overlap"
+        for i in range(len(els)) for j in range(i + 1, len(els))
+        if kernels.boxes_intersect(els[i].region.boxes, els[j].region.boxes)
+    ]
+
+
+class TestOverlapViolations:
+    def test_touching_faces_and_points(self, partition_schema):
+        labels = ("A",)
+        boxes = [
+            [((0, 2, True, True), (0, 2, True, True))],
+            [((2, 4, True, False), (0, 2, True, False))],  # shares closed x=2
+            [((4, 6, False, True), (0, 2, True, True))],   # open at x=4
+            [((1, 1, True, True), (1, 1, True, True))],    # point inside 0
+            [((2, 4, False, False), (2, 4, False, False))],  # touches only open
+            [((5, 5, True, True), (5, 5, True, True))],    # isolated point
+            [((0, 1, True, False), (4, 6, True, True)),
+             ((1, 2, True, True), (5, 6, True, True))],    # two boxes
+            [((2, 2, True, True), (6, 6, True, True))],    # corner of the above
+        ]
+        space = DecisionSpace(partition_schema, labels, tuple(
+            Element(Region(b), ClassDistribution.one_hot(labels, "A")) for b in boxes
+        ))
+        want = all_pairs_overlaps(space)
+        assert want == [
+            "elements 0 and 1: regions overlap",
+            "elements 0 and 3: regions overlap",
+            "elements 6 and 7: regions overlap",
+        ]
+        assert overlap_violations(space) == want
+        assert [v for v in validate(space) if "overlap" in v] == want
+
+    def test_partition_has_none(self, partition_space):
+        assert overlap_violations(partition_space) == []
+
+
 class TestClassify:
     def test_interior_point(self, partition_space):
         dist, label = classify(partition_space, (3, 3))
@@ -167,6 +209,27 @@ class TestClassify:
             classify(partition_space, (bad, 1.0))
         with pytest.raises(ValueError):
             classify_many(partition_space, [(3, 3), (1.0, bad)])
+
+    def test_array_matches_list(self, partition_space):
+        pts = [(0.5, 0.5), (5, 1), (1, 3), (3, 5), (3, 3), (3, 6), (-0.0, 6)]
+        assert classify_many(partition_space, np.array(pts)) == \
+            classify_many(partition_space, pts)
+        ints = np.array([(0, 0), (5, 1), (3, 6)])
+        assert classify_many(partition_space, ints) == \
+            classify_many(partition_space, ints.tolist())
+
+    def test_array_empty(self, partition_space):
+        assert classify_many(partition_space, np.empty((0, 2))) == []
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (0, 3), (2,), (2, 2, 1)])
+    def test_array_rejects_wrong_width(self, partition_space, shape):
+        with pytest.raises(ValueError):
+            classify_many(partition_space, np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_array_rejects_non_finite(self, partition_space, bad):
+        with pytest.raises(ValueError):
+            classify_many(partition_space, np.array([(3.0, 3.0), (1.0, bad)]))
 
     def test_boundaries_follow_inclusivity(self):
         """Every boundary coordinate and cell midpoint lands in the box whose
