@@ -31,7 +31,7 @@ from .model import (
     AttributeSchema,
     classify_many,
     space_from_json,
-    space_to_json,
+    space_to_text,
     validate,
 )
 from .operators import merge_streaming, op_barodot, op_plus, restrict
@@ -91,7 +91,7 @@ def _read_space(path):
 
 
 def _write_space(path, space):
-    _write_text(path, json.dumps(space_to_json(space), indent=2) + "\n")
+    _write_text(path, space_to_text(space) + "\n")
 
 
 def _read_schema(path):
@@ -319,24 +319,16 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="decspace",
-        description="Decision-space algebra: convert, merge, restrict, "
-        "classify, and audit rectilinear classifier models.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="rules or tree file to a space document")
+def _convert_arguments(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--rules", help="rule DSL file ('-' for stdin)")
     src.add_argument("--tree", help="decision-tree JSON file")
     p.add_argument("--schema", required=True, help="attribute schema JSON")
     p.add_argument("--classes", help="comma-separated class label order")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("merge", help="combine space documents per a scheme")
+
+def _merge_arguments(p):
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="FILE")
     p.add_argument(
         "--scheme", default="chain",
@@ -347,50 +339,88 @@ def build_parser():
         help="left fold with mass-weighted (unbiased) accumulation",
     )
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("restrict", help="restrict the first space by the second")
+
+def _restrict_arguments(p):
     p.add_argument("--in", dest="inputs", nargs=2, required=True, metavar="FILE")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_restrict)
 
-    p = sub.add_parser("compose", help="composite operators over two spaces")
+
+def _compose_arguments(p):
     p.add_argument("--op", choices=("plus", "barodot"), required=True)
-    p.add_argument("--in", dest="inputs", nargs=2, required=True, metavar="FILE")
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_compose)
+    _restrict_arguments(p)
 
-    p = sub.add_parser("classify", help="classify instances against a space")
+
+def _classify_arguments(p):
     p.add_argument("--space", required=True)
     pts = p.add_mutually_exclusive_group(required=True)
     pts.add_argument("--instance", help="comma-separated coordinates")
     pts.add_argument("--instances", help="CSV of instances, one per line")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("impact", help="impact table of a merging scheme")
+
+def _impact_arguments(p):
     p.add_argument("--scheme", required=True)
-    p.set_defaults(func=cmd_impact)
 
-    p = sub.add_parser("validate", help="check a space document's invariants")
+
+def _validate_arguments(p):
     p.add_argument("--in", dest="input", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("laws", help="randomized algebraic-law report")
+
+def _laws_arguments(p):
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_laws)
 
-    p = sub.add_parser("simulate", help="synthetic drift-stream experiment")
+
+def _simulate_arguments(p):
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--strategy", choices=STRATEGIES, default="chain")
     p.add_argument("--out", default="-", help="accuracy CSV destination")
-    p.set_defaults(func=cmd_simulate)
+
+
+# (name, help, argument builder, handler), in the order --help lists them
+COMMANDS = (
+    ("convert", "rules or tree file to a space document", _convert_arguments, cmd_convert),
+    ("merge", "combine space documents per a scheme", _merge_arguments, cmd_merge),
+    ("restrict", "restrict the first space by the second", _restrict_arguments, cmd_restrict),
+    ("compose", "composite operators over two spaces", _compose_arguments, cmd_compose),
+    ("classify", "classify instances against a space", _classify_arguments, cmd_classify),
+    ("impact", "impact table of a merging scheme", _impact_arguments, cmd_impact),
+    ("validate", "check a space document's invariants", _validate_arguments, cmd_validate),
+    ("laws", "randomized algebraic-law report", _laws_arguments, cmd_laws),
+    ("simulate", "synthetic drift-stream experiment", _simulate_arguments, cmd_simulate),
+)
+
+
+def build_parser(command=None):
+    """The argument parser; with ``command``, one that registers only that
+    subcommand's parser but prints the same usage line as the full one."""
+    parser = argparse.ArgumentParser(
+        prog="decspace",
+        description="Decision-space algebra: convert, merge, restrict, "
+        "classify, and audit rectilinear classifier models.",
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        table = COMMANDS
+    else:
+        # a metavar in the full parser would change its "required" and
+        # "invalid choice" messages
+        names = ",".join(name for name, *_ in COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{names}}}")
+        table = [row for row in COMMANDS if row[0] == command]
+    for name, help_text, add_arguments, handler in table:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # building all nine subparsers costs about as much as a small command;
+    # only the invoked one is needed to parse it
+    command = argv[0] if argv and argv[0] in {name for name, *_ in COMMANDS} else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

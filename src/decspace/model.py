@@ -6,8 +6,10 @@ appear at the JSON boundary.  All types are immutable value objects, so
 concurrent reads are safe.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -357,6 +359,96 @@ def space_to_json(space):
             for e in space.elements
         ],
     }
+
+
+# encodes a flat list of numbers and flags in one call of json's C encoder
+_JSON_LEAVES = json.JSONEncoder(separators=(",", ":"))
+
+
+class _NotAScalar(Exception):
+    """A name or label that is no str, int, float, bool or None."""
+
+
+def _json_scalar(v):
+    """A name or label as ``json`` encodes it."""
+    if isinstance(v, (str, int, float)) or v is None:
+        return json.dumps(v)
+    raise _NotAScalar
+
+
+def _json_block(open_, items, close, pad):
+    """Encoded ``items`` in ``json``'s ``indent=2`` layout of a list or dict
+    whose first line starts at ``pad`` spaces."""
+    if not items:
+        return open_ + close
+    inner = ",\n" + " " * (pad + 2)
+    return f"{open_}\n{' ' * (pad + 2)}{inner.join(items)}\n{' ' * pad}{close}"
+
+
+def space_to_text(space):
+    """``json.dumps(space_to_json(space), indent=2)``, formatted directly.
+
+    ``json`` uses its pure-Python encoder whenever ``indent`` is set.  Here
+    every number and flag of the document is encoded in one call of its C
+    encoder and placed into the document's known layout by ``%`` templates.
+    A name or label of a type that ``json`` does not encode as a scalar
+    hands the whole document to ``json``.
+    """
+    try:
+        return _space_text(space)
+    except _NotAScalar:
+        return json.dumps(space_to_json(space), indent=2)
+
+
+def _space_text(space):
+    attrs = space.schema.attributes
+    labels = space.class_labels
+    leaves = [v for a in attrs for v in (a.domain_min, a.domain_max)]
+    for e in space.elements:
+        for b in e.region.boxes:
+            for iv in b:
+                leaves += (iv[0], iv[1], bool(iv[2]), bool(iv[3]))
+        leaves += e.value.extended(labels).as_percentages()
+        leaves.append(e.mass)
+    # no encoded number or flag contains a comma
+    parts = _JSON_LEAVES.encode(leaves)[1:-1].split(",")
+
+    schema = [
+        '{\n      "name": %s,\n      "min": %s,\n      "max": %s\n    }'
+        % (_json_scalar(a.name), parts[2 * k], parts[2 * k + 1])
+        for k, a in enumerate(attrs)
+    ]
+    pos = 2 * len(attrs)
+    # a dict key is always a string in json
+    keys = [
+        encode_basestring_ascii(n if isinstance(n, str) else _json_scalar(n))
+        for n in space.schema.names
+    ]
+    box_format = _json_block("{", [
+        key.replace("%", "%%") + ': [\n            %s,\n            %s,'
+        '\n            %s,\n            %s\n          ]'
+        for key in keys
+    ], "}", 8)
+    element_format = _json_block("{", [
+        '"boxes": %s',
+        '"value": ' + _json_block("[", ["%s"] * len(labels), "]", 6),
+        '"mass": %s',
+    ], "}", 4)
+    per_box, per_value = 4 * len(attrs), len(labels) + 1
+    elements = []
+    for e in space.elements:
+        boxes = []
+        for _ in e.region.boxes:
+            boxes.append(box_format % tuple(parts[pos:pos + per_box]))
+            pos += per_box
+        elements.append(element_format % (_json_block("[", boxes, "]", 6),
+                                          *parts[pos:pos + per_value]))
+        pos += per_value
+    return _json_block("{", [
+        '"schema": ' + _json_block("[", schema, "]", 2),
+        '"classes": ' + _json_block("[", [_json_scalar(l) for l in labels], "]", 2),
+        '"elements": ' + _json_block("[", elements, "]", 2),
+    ], "}", 0)
 
 
 def space_from_json(doc):

@@ -5,10 +5,12 @@ The three merges share one overlay and differ only in how an element is
 weighed.  Conflicts are resolved by weighted averaging of the class
 distributions; the weight of an element is the mean projected extent of its
 region (its specialization), or its stored mass in the streaming merge.
-Two regions conflict when they share positive measure (shared faces between
-closed boxes are not conflicts; the face stays with the earlier operand so
-outputs stay disjoint).  Measure-zero regions conflict when they meet, and
-are averaged unweighted when every weight is zero.
+Two regions conflict when they share positive measure, or when either of
+them has measure zero and they meet: a point element's weight is 0, so on
+its point the other element's value holds in either operand order.  A face
+that two positive-measure closed boxes share is no conflict; it stays with
+the earlier operand so outputs stay disjoint.  Conflicting measure-zero
+regions are averaged unweighted when every weight is zero.
 """
 
 from dataclasses import dataclass
@@ -73,10 +75,12 @@ def strictly_subsumes(x, y):
     return _strictly_inside(_projections(y.region), _projections(x.region))
 
 
-def _conflicts(shared, points):
-    """Is an overlap a conflict?  Positive measure always is; a measure-zero
-    overlap only when both regions (``points``) have measure zero."""
-    return not shared.is_empty and (points or shared.measure() > 0)
+def _conflicts(shared, region, point):
+    """Is the non-empty overlap ``shared`` of ``region`` and an entering
+    element a conflict?  Positive measure always is; a measure-zero overlap
+    when either ``region`` or the entering element (``point``) has measure
+    zero."""
+    return shared.measure() > 0 or point or region.measure() == 0
 
 
 def combine_values(values, masses):
@@ -170,7 +174,7 @@ def _overlay(entries):
                 nxt.append(frag)
                 continue
             rest = rest - shared
-            if _conflicts(shared, point and reg.measure() == 0):
+            if _conflicts(shared, reg, point):
                 nxt.append((shared, shared.extent(), contribs + (k,), spaces | bit))
                 reg = reg - shared
                 if reg.is_empty:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import decspace
 from decspace import (
     AttributeSchema,
     ClassDistribution,
@@ -12,7 +16,7 @@ from decspace import (
     space_from_json,
     space_to_json,
 )
-from decspace.cli import main
+from decspace.cli import COMMANDS, build_parser, main
 from decspace.geometry import Region
 
 from conftest import RULES_TEXT, make_overlap_pair
@@ -386,3 +390,54 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+
+class TestParser:
+    """``main`` builds only the invoked command's parser; every help text,
+    usage line and error must stay as the full ``build_parser()`` gives it."""
+
+    ARGVS = [
+        ["--help"],
+        ["-h"],
+        *([name, "--help"] for name, *_ in COMMANDS),
+        [],
+        ["frobnicate", "--in", "x.json"],
+        ["convert", "--rules", "r.txt", "--schema", "s.json", "--bogus"],
+        ["compose", "--op", "times", "--in", "a.json", "b.json"],
+        ["convert", "--rules", "r.txt"],
+        ["classify", "--space", "s.json"],
+        ["merge", "--in"],
+        ["laws", "--trials", "many"],
+    ]
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_as_full_parser(self, argv, capsys):
+        full = self.outcome(build_parser().parse_args, argv, capsys)
+        assert self.outcome(main, argv, capsys) == full
+        assert full[1] or full[2]
+
+    def test_full_parser_messages(self, capsys):
+        # a subparsers metavar would stand in for "command" and the choices
+        _, _, err = self.outcome(main, [], capsys)
+        assert err.endswith("error: the following arguments are required: command\n")
+        _, _, err = self.outcome(main, ["frobnicate"], capsys)
+        assert "invalid choice: 'frobnicate' (choose from 'convert', 'merge'," in err
+
+    def test_module_entry_point_reads_sys_argv(self, tmp_path, space_file):
+        src = os.path.dirname(os.path.dirname(decspace.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        ok = subprocess.run([sys.executable, "-m", "decspace.cli", "validate", "--in", space_file],
+                            capture_output=True, text=True, env=env, timeout=60)
+        assert (ok.returncode, ok.stdout, ok.stderr) == (0, "ok\n", "")
+        bad = subprocess.run([sys.executable, "-m", "decspace.cli", "validate"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert bad.returncode == 2
+        assert bad.stderr.endswith("error: the following arguments are required: --in\n")

@@ -11,6 +11,8 @@ from decspace import (
     Element,
     classify,
     classify_many,
+    merge,
+    merge_nary,
     parse_ruleset,
     rules_to_space,
     semantically_equal,
@@ -20,7 +22,8 @@ from decspace import (
     validate,
 )
 from decspace.geometry import Region, kernels
-from decspace.model import overlap_violations
+from decspace.model import overlap_violations, space_to_text
+from decspace.sampling import random_space
 
 from conftest import sample_axes
 
@@ -381,3 +384,71 @@ class TestJsonRoundTrip:
         }
         space = space_from_json(doc)
         assert any("sums to" in v for v in validate(space))
+
+
+def reference_text(space):
+    return json.dumps(space_to_json(space), indent=2)
+
+
+class TestSpaceToText:
+    """``space_to_text`` against ``json``'s own indented encoding."""
+
+    def test_random_spaces_and_merges(self):
+        rng = np.random.default_rng(11)
+        for dims in (1, 2, 3):
+            schema = AttributeSchema(tuple((f"a{k}", 0.0, 8.0) for k in range(dims)))
+            for _ in range(20):
+                x, y = (random_space(rng, schema, ("Yes", "No", "Maybe"), 6, 0.7)
+                        for _ in range(2))
+                for sp in (x, y, merge(x, y), merge_nary([x, y, x])):
+                    assert space_to_text(sp) == reference_text(sp)
+
+    def test_empty_space(self, partition_schema):
+        for labels in ((), ("A", "B")):
+            sp = DecisionSpace.empty(partition_schema, labels)
+            assert space_to_text(sp) == reference_text(sp)
+
+    def test_int_bounds(self):
+        schema = AttributeSchema((("a", 0, 10), ("b", -5, 5)))
+        sp = DecisionSpace(schema, ("A", "B"), (
+            Element(Region.from_box((0, 3, True, False), (-5, 5, True, True)),
+                    ClassDistribution(("A", "B"), (1, 0)), 4),
+        ))
+        text = space_to_text(sp)
+        assert '"min": 0,' in text
+        assert text == reference_text(sp)
+
+    def test_awkward_names_and_labels(self):
+        names = ('quo"te', "back\\slash", "café ☃", "100%s")
+        schema = AttributeSchema(tuple((n, 0.0, 1.0) for n in names))
+        labels = ('say "hi"', "\\", "über", 7)
+        box = ((0.0, 1.0, True, True),) * len(names)
+        sp = DecisionSpace(schema, labels, (
+            Element(Region.from_box(*box), ClassDistribution(labels, (0.25,) * 4)),))
+        assert space_to_text(sp) == reference_text(sp)
+
+    def test_point_element_and_missing_label(self, partition_schema):
+        sp = DecisionSpace(partition_schema, ("A", "B", "C"), (
+            Element(Region.from_box((1, 1, True, True), (2, 2, True, True)),
+                    ClassDistribution(("C", "A"), (0.5, 0.5))),
+            Element(Region.from_box((2, 4, False, True), (0, 6, True, False)),
+                    ClassDistribution(("B",), (1.0,))),
+        ))
+        assert space_to_text(sp) == reference_text(sp)
+
+    def test_float_leaves(self):
+        schema = AttributeSchema((("a", -0.0, 1e16), ("b", 5e-324, 0.1 + 0.2)))
+        box = ((np.float64(-0.0), 1e16, True, False), (5e-324, 0.1 + 0.2, False, True))
+        labels = ("A", "B")
+        elements = tuple(
+            Element(Region.from_box(*box), ClassDistribution(labels, (0.1 + 0.2, 0.7)), mass)
+            for mass in (-0.0, 1e16, 5e-324, 0.1 + 0.2, np.float64(2.5))
+        )
+        sp = DecisionSpace(schema, labels, elements)
+        assert space_to_text(sp) == reference_text(sp)
+
+    def test_label_of_another_type_goes_to_json(self, partition_schema):
+        labels = (("A", 1), "B")
+        sp = DecisionSpace(partition_schema, labels, (
+            Element(partition_schema.full_region(), ClassDistribution(labels, (0.5, 0.5))),))
+        assert space_to_text(sp) == reference_text(sp)

@@ -116,14 +116,18 @@ class TestTouchingExtents:
             ]
 
     def test_point_on_box_corner(self, schema):
+        # a point conflicts with the box it meets and weighs 0 there, so
+        # both orders give the box's value on the point
         point = single_space(schema, ((2, 2, True, True), (2, 2, True, True)), (1.0, 0.0))
         box = single_space(schema, ((2, 6, True, True), (2, 6, True, True)), (0.0, 1.0))
         p, b = point.elements[0].region, box.elements[0].region
-        self.check(
-            point, box,
-            [(p, (1.0, 0.0), 0.0), (b - p, (0.0, 1.0), 4.0)],
-            [(b, (0.0, 1.0), 4.0)],
-        )
+        for x, y in ((point, box), (box, point)):
+            for got in (merge(x, y), merge_nary([x, y])):
+                assert self.summary(got) == [(p, (0.0, 1.0), 4.0), (b - p, (0.0, 1.0), 4.0)]
+            rep = intersection_report(x, y)
+            assert rep.pairs == ((0, 0, p),)
+            leftovers = [rep.x_remainders[0], rep.y_remainders[0]]
+            assert [r for r in leftovers if not r.is_empty] == [b - p]
 
     def test_closed_boxes_sharing_a_face(self, schema):
         left = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
@@ -317,6 +321,18 @@ class TestNaryAndStreaming:
         assert semantically_equal(merged, merge_nary([x, y]))
         assert semantically_equal(merge_streaming(x, y), merged)
         assert classify(merged, (2.0, 1.0))[0].weights == pytest.approx((2 / 3, 1 / 3))
+
+    def test_point_inside_box_commutes(self, schema):
+        # a point conflicts with the box around it and weighs 0, whichever
+        # operand comes first
+        x = DecisionSpace(schema, ("Y", "N"), (
+            elem(((2, 2, True, True), (2, 2, True, True)), (1.0, 0.0), ("Y", "N")),))
+        y = DecisionSpace(schema, ("Y", "N"), (
+            elem(((0, 8, True, True), (0, 8, True, True)), (0.0, 1.0), ("Y", "N")),))
+        for op in (merge, merge_streaming, lambda a, b: merge_nary([a, b])):
+            xy, yx = op(x, y), op(y, x)
+            assert semantically_equal(xy, yx)
+            assert classify(xy, (2, 2))[1] == classify(yx, (2, 2))[1] == "N"
 
     def test_first_streaming_step_is_plain_merge(self, rng, schema):
         x, y = random_space(rng, schema), random_space(rng, schema)
