@@ -31,7 +31,7 @@ from .model import (
     AttributeSchema,
     classify_many,
     space_from_json,
-    space_to_text,
+    space_to_json,
     validate,
 )
 from .operators import merge_streaming, op_barodot, op_plus, restrict
@@ -91,7 +91,7 @@ def _read_space(path):
 
 
 def _write_space(path, space):
-    _write_text(path, space_to_text(space) + "\n")
+    _write_text(path, json.dumps(space_to_json(space)) + "\n")
 
 
 def _read_schema(path):
@@ -99,9 +99,7 @@ def _read_schema(path):
     if isinstance(doc, dict):
         doc = doc.get("schema", doc)
     try:
-        return AttributeSchema(
-            tuple((a["name"], float(a["min"]), float(a["max"])) for a in doc)
-        )
+        return AttributeSchema.from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: not an attribute schema: {exc}") from exc
 

@@ -327,11 +327,6 @@ class DecisionTreeNode:
                 node = node.right
         return node.outcome
 
-    def leaves(self):
-        if self.is_leaf:
-            return [self]
-        return self.left.leaves() + self.right.leaves()
-
 
 def tree_from_json(doc):
     """Tree document: {"classes": [...]?, "tree": {...}} with internal nodes

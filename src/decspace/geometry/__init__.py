@@ -35,10 +35,6 @@ class Interval(NamedTuple):
         return cls(lo, hi, True, True)
 
     @classmethod
-    def open(cls, lo, hi):
-        return cls(lo, hi, False, False)
-
-    @classmethod
     def point(cls, x):
         return cls(x, x, True, True)
 
@@ -62,13 +58,6 @@ class Interval(NamedTuple):
             self.hi,
             "]" if self.hi_closed else ")",
         )
-
-
-def interval_intersect(a, b):
-    """Exact intersection of two intervals; None when empty (a shared
-    endpoint survives only if closed on both sides)."""
-    iv = _k.itv_intersect(tuple(a), tuple(b))
-    return None if iv is None else Interval(*iv)
 
 
 def box(*intervals):
@@ -184,10 +173,6 @@ class Region:
             (min(map(itemgetter(0), ivs)), max(map(itemgetter(1), ivs)))
             for ivs in zip(*self.boxes)
         )
-
-    def intervals(self):
-        """Boxes as tuples of Interval values (presentation helper)."""
-        return tuple(tuple(Interval(*iv) for iv in b) for b in self.boxes)
 
     def __eq__(self, other):
         """Set equality: two decompositions of one point set are equal."""

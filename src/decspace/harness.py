@@ -61,10 +61,7 @@ class StreamConfig:
             drift_at=int(doc["drift_at"]),
             batches=int(doc["batches"]),
             batch_size=int(doc["batch_size"]),
-            domain=AttributeSchema(
-                tuple((a["name"], float(a["min"]), float(a["max"]))
-                      for a in doc["domain"])
-            ),
+            domain=AttributeSchema.from_json(doc["domain"]),
             grid=int(doc.get("grid", 10)),
             test_size=int(doc.get("test_size", 2000)),
         )

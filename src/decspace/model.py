@@ -6,10 +6,8 @@ appear at the JSON boundary.  All types are immutable value objects, so
 concurrent reads are safe.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +43,13 @@ class AttributeSchema:
                 raise ValueError(
                     f"attribute {a.name!r}: domain_min must be < domain_max"
                 )
+
+    @classmethod
+    def from_json(cls, items):
+        """Schema from a list of ``{"name", "min", "max"}`` objects.  Raises
+        KeyError, TypeError or ValueError on a malformed list."""
+        return cls(tuple((a["name"], float(a["min"]), float(a["max"]))
+                         for a in items))
 
     def __len__(self):
         return len(self.attributes)
@@ -313,7 +318,6 @@ def semantically_equal(a, b, tol=EQUALITY_TOL):
         raise ValueError("schema mismatch")
     if set(a.class_labels) != set(b.class_labels):
         raise ValueError("class label mismatch")
-    b = b.with_labels(a.class_labels) if a.class_labels != b.class_labels else b
     axes = _sample_axes((a, b))
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
     boxes_a, owners_a = a._flat_boxes()
@@ -325,8 +329,9 @@ def semantically_equal(a, b, tol=EQUALITY_TOL):
             return False
         if ia < 0:
             continue
-        va = a.elements[ia].value.weights
-        vb = b.elements[ib].value.weights
+        # an element's distribution may list fewer labels, or another order
+        va = a.elements[ia].value.extended(a.class_labels).weights
+        vb = b.elements[ib].value.extended(a.class_labels).weights
         for wa, wb in zip(va, vb):
             if abs(wa - wb) > tol:
                 return False
@@ -336,8 +341,13 @@ def semantically_equal(a, b, tol=EQUALITY_TOL):
 # -- JSON document round-trip ------------------------------------------------
 
 def space_to_json(space):
-    """External decision-space document; percentages rendered with six
-    decimal places."""
+    """External decision-space document, as plain JSON values.
+
+    Bounds, flags and masses are written as they are and each weight as
+    ``w * 100.0``, a percentage left unrounded, so ``space_from_json`` gives
+    back a space ``semantically_equal`` to this one at ``EQUALITY_TOL``.
+    The CLI writes it with one ``json.dumps`` call.
+    """
     return {
         "schema": [
             {"name": a.name, "min": a.domain_min, "max": a.domain_max}
@@ -353,7 +363,7 @@ def space_to_json(space):
                     }
                     for b in e.region.boxes
                 ],
-                "value": list(e.value.extended(space.class_labels).as_percentages()),
+                "value": [w * 100.0 for w in e.value.extended(space.class_labels).weights],
                 "mass": e.mass,
             }
             for e in space.elements
@@ -361,101 +371,10 @@ def space_to_json(space):
     }
 
 
-# encodes a flat list of numbers and flags in one call of json's C encoder
-_JSON_LEAVES = json.JSONEncoder(separators=(",", ":"))
-
-
-class _NotAScalar(Exception):
-    """A name or label that is no str, int, float, bool or None."""
-
-
-def _json_scalar(v):
-    """A name or label as ``json`` encodes it."""
-    if isinstance(v, (str, int, float)) or v is None:
-        return json.dumps(v)
-    raise _NotAScalar
-
-
-def _json_block(open_, items, close, pad):
-    """Encoded ``items`` in ``json``'s ``indent=2`` layout of a list or dict
-    whose first line starts at ``pad`` spaces."""
-    if not items:
-        return open_ + close
-    inner = ",\n" + " " * (pad + 2)
-    return f"{open_}\n{' ' * (pad + 2)}{inner.join(items)}\n{' ' * pad}{close}"
-
-
-def space_to_text(space):
-    """``json.dumps(space_to_json(space), indent=2)``, formatted directly.
-
-    ``json`` uses its pure-Python encoder whenever ``indent`` is set.  Here
-    every number and flag of the document is encoded in one call of its C
-    encoder and placed into the document's known layout by ``%`` templates.
-    A name or label of a type that ``json`` does not encode as a scalar
-    hands the whole document to ``json``.
-    """
-    try:
-        return _space_text(space)
-    except _NotAScalar:
-        return json.dumps(space_to_json(space), indent=2)
-
-
-def _space_text(space):
-    attrs = space.schema.attributes
-    labels = space.class_labels
-    leaves = [v for a in attrs for v in (a.domain_min, a.domain_max)]
-    for e in space.elements:
-        for b in e.region.boxes:
-            for iv in b:
-                leaves += (iv[0], iv[1], bool(iv[2]), bool(iv[3]))
-        leaves += e.value.extended(labels).as_percentages()
-        leaves.append(e.mass)
-    # no encoded number or flag contains a comma
-    parts = _JSON_LEAVES.encode(leaves)[1:-1].split(",")
-
-    schema = [
-        '{\n      "name": %s,\n      "min": %s,\n      "max": %s\n    }'
-        % (_json_scalar(a.name), parts[2 * k], parts[2 * k + 1])
-        for k, a in enumerate(attrs)
-    ]
-    pos = 2 * len(attrs)
-    # a dict key is always a string in json
-    keys = [
-        encode_basestring_ascii(n if isinstance(n, str) else _json_scalar(n))
-        for n in space.schema.names
-    ]
-    box_format = _json_block("{", [
-        key.replace("%", "%%") + ': [\n            %s,\n            %s,'
-        '\n            %s,\n            %s\n          ]'
-        for key in keys
-    ], "}", 8)
-    element_format = _json_block("{", [
-        '"boxes": %s',
-        '"value": ' + _json_block("[", ["%s"] * len(labels), "]", 6),
-        '"mass": %s',
-    ], "}", 4)
-    per_box, per_value = 4 * len(attrs), len(labels) + 1
-    elements = []
-    for e in space.elements:
-        boxes = []
-        for _ in e.region.boxes:
-            boxes.append(box_format % tuple(parts[pos:pos + per_box]))
-            pos += per_box
-        elements.append(element_format % (_json_block("[", boxes, "]", 6),
-                                          *parts[pos:pos + per_value]))
-        pos += per_value
-    return _json_block("{", [
-        '"schema": ' + _json_block("[", schema, "]", 2),
-        '"classes": ' + _json_block("[", [_json_scalar(l) for l in labels], "]", 2),
-        '"elements": ' + _json_block("[", elements, "]", 2),
-    ], "}", 0)
-
-
 def space_from_json(doc):
-    schema = AttributeSchema(
-        tuple((a["name"], float(a["min"]), float(a["max"])) for a in doc["schema"])
-    )
-    labels = tuple(doc["classes"])
+    schema = AttributeSchema.from_json(doc["schema"])
+    # json holds a tuple label as an array; read it back as a tuple
+    labels = tuple(tuple(l) if isinstance(l, list) else l for l in doc["classes"])
     elems = []
     for ed in doc["elements"]:
         boxes = []
@@ -469,7 +388,9 @@ def space_from_json(doc):
             boxes.append(tuple(box))
         weights = [float(p) / 100.0 for p in ed["value"]]
         total = sum(weights)
-        # undo six-decimal percentage rounding, but let real violations show
+        # space_to_json writes exact percentages; this renormalization lets
+        # hand-written or older documents, rounded to six decimals, still
+        # sum to one, but lets real violations show
         if weights and abs(total - 1.0) <= 1e-6 and total > 0:
             weights = [w / total for w in weights]
         elems.append(

@@ -75,12 +75,13 @@ def strictly_subsumes(x, y):
     return _strictly_inside(_projections(y.region), _projections(x.region))
 
 
-def _conflicts(shared, region, point):
-    """Is the non-empty overlap ``shared`` of ``region`` and an entering
+def _conflicts(shared, zero, point):
+    """Is the non-empty overlap ``shared`` of a fragment and an entering
     element a conflict?  Positive measure always is; a measure-zero overlap
-    when either ``region`` or the entering element (``point``) has measure
-    zero."""
-    return shared.measure() > 0 or point or region.measure() == 0
+    when the entering element (``point``) or a contributor of the fragment
+    (``zero``) has measure zero.  A closed face left over from
+    positive-measure elements is no point."""
+    return point or zero or shared.measure() > 0
 
 
 def combine_values(values, masses):
@@ -158,7 +159,8 @@ def _overlay(entries):
     A fragment whose extent misses the entry's is skipped untested.
     Returns ``[(Region, contributor entry indices)]``.
     """
-    # (Region, its extent, contributor entry indices, bit set of their spaces)
+    # (Region, its extent, contributor entry indices, bit set of their
+    # spaces, whether a contributor has measure zero)
     frags = []
     for k, (s, e) in enumerate(entries):
         bit = 1 << s
@@ -167,24 +169,25 @@ def _overlay(entries):
         rest = e.region
         nxt = []
         for frag in frags:
-            reg, fext, contribs, spaces = frag
+            reg, fext, contribs, spaces, zero = frag
             # elements of one space are pairwise disjoint, so a fragment
             # inside one of them cannot meet another
             if spaces & bit or _apart(fext, ext) or (shared := reg & e.region).is_empty:
                 nxt.append(frag)
                 continue
             rest = rest - shared
-            if _conflicts(shared, reg, point):
-                nxt.append((shared, shared.extent(), contribs + (k,), spaces | bit))
+            if _conflicts(shared, zero, point):
+                nxt.append((shared, shared.extent(), contribs + (k,), spaces | bit,
+                            zero or point))
                 reg = reg - shared
                 if reg.is_empty:
                     continue
-                frag = (reg, reg.extent(), contribs, spaces)
+                frag = (reg, reg.extent(), contribs, spaces, zero)
             nxt.append(frag)
         if not rest.is_empty:
-            nxt.append((rest, rest.extent(), (k,), bit))
+            nxt.append((rest, rest.extent(), (k,), bit, point))
         frags = nxt
-    return [(reg, contribs) for reg, _, contribs, _ in frags]
+    return [(reg, contribs) for reg, _, contribs, _, _ in frags]
 
 
 @dataclass(frozen=True)

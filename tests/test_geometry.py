@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from decspace.geometry import Interval, Region, box, interval_intersect, kernels
+from decspace.geometry import Interval, Region, box, kernels
 
 from conftest import join, raster, sample_axes
 
@@ -18,14 +18,14 @@ def closed(lo, hi):
 
 class TestInterval:
     def test_intersect_overlapping(self):
-        got = interval_intersect(Interval(0, 4), Interval(2, 6))
+        got = kernels.itv_intersect(Interval(0, 4), Interval(2, 6))
         assert got == Interval(2, 4, True, False)
 
     def test_intersect_half_open_touch_is_empty(self):
-        assert interval_intersect(Interval(0, 4), Interval(4, 6, True, True)) is None
+        assert kernels.itv_intersect(Interval(0, 4), Interval(4, 6, True, True)) is None
 
     def test_intersect_closed_touch_is_a_point(self):
-        got = interval_intersect(Interval.closed(0, 4), Interval.closed(4, 6))
+        got = kernels.itv_intersect(Interval.closed(0, 4), Interval.closed(4, 6))
         assert got == Interval.point(4)
 
     def test_measure_ignores_inclusivity(self):

@@ -22,7 +22,7 @@ from decspace import (
     validate,
 )
 from decspace.geometry import Region, kernels
-from decspace.model import overlap_violations, space_to_text
+from decspace.model import overlap_violations
 from decspace.sampling import random_space
 
 from conftest import sample_axes
@@ -53,6 +53,16 @@ class TestSchema:
     def test_non_finite_domain_rejected(self, lo, hi):
         with pytest.raises(ValueError):
             AttributeSchema((("a", lo, hi),))
+
+    def test_from_json(self):
+        schema = AttributeSchema.from_json([{"name": "a", "min": 0, "max": "2.5"}])
+        assert schema == AttributeSchema((("a", 0.0, 2.5),))
+        for bad, exc in (([{"name": "a", "min": 0}], KeyError),
+                         ([{"name": "a", "min": 0, "max": "x"}], ValueError),
+                         ([["a", 0, 1]], TypeError),
+                         ([{"name": "a", "min": 1, "max": 0}], ValueError)):
+            with pytest.raises(exc):
+                AttributeSchema.from_json(bad)
 
     def test_index_lookup(self, partition_schema):
         assert partition_schema.index("degree") == 1
@@ -345,6 +355,16 @@ class TestSemanticEquality:
         assert not semantically_equal(point_space(0.25), point_space(0.75))
 
 
+    def test_element_labels_in_another_order_or_missing(self, partition_schema):
+        labels = ("A", "B", "C")
+        def space(value):
+            return DecisionSpace(partition_schema, labels, (
+                Element(Region.from_box((0, 6, True, False), (0, 6, True, False)), value),))
+        short = space(ClassDistribution(("C", "A"), (0.75, 0.25)))
+        assert semantically_equal(short, space(ClassDistribution(labels, (0.25, 0.0, 0.75))))
+        assert not semantically_equal(short, space(ClassDistribution(labels, (0.75, 0.0, 0.25))))
+
+
 class TestJsonRoundTrip:
     def test_round_trip_identity(self, partition_space):
         doc = space_to_json(partition_space)
@@ -386,12 +406,33 @@ class TestJsonRoundTrip:
         assert any("sums to" in v for v in validate(space))
 
 
-def reference_text(space):
-    return json.dumps(space_to_json(space), indent=2)
+def bits(space):
+    """Schema bounds, box bounds and flags, and masses, floats as hex."""
+    def h(x):
+        return float(x).hex()
+    return (
+        [(a.name, h(a.domain_min), h(a.domain_max)) for a in space.schema.attributes],
+        [(sorted(tuple((h(lo), h(hi), bool(lc), bool(hc)) for lo, hi, lc, hc in b)
+                 for b in e.region.boxes), h(e.mass))
+         for e in space.elements],
+    )
+
+
+def round_trip(space):
+    """The space through the document the CLI writes and back."""
+    return space_from_json(json.loads(json.dumps(space_to_json(space))))
 
 
 class TestSpaceToText:
-    """``space_to_text`` against ``json``'s own indented encoding."""
+    """A space written as a document and read back is the same space:
+    ``semantically_equal`` at ``EQUALITY_TOL``, with bit-exact bounds and
+    masses."""
+
+    def check(self, sp):
+        back = round_trip(sp)
+        assert back.class_labels == sp.class_labels
+        assert semantically_equal(sp, back)
+        assert bits(back) == bits(sp)
 
     def test_random_spaces_and_merges(self):
         rng = np.random.default_rng(11)
@@ -401,12 +442,18 @@ class TestSpaceToText:
                 x, y = (random_space(rng, schema, ("Yes", "No", "Maybe"), 6, 0.7)
                         for _ in range(2))
                 for sp in (x, y, merge(x, y), merge_nary([x, y, x])):
-                    assert space_to_text(sp) == reference_text(sp)
+                    self.check(sp)
+
+    def test_merge_outputs_round_trip_exactly(self):
+        # six-decimal percentages failed 197 of these 200 at 1e-9
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            x, y = random_space(rng), random_space(rng)
+            self.check(merge(x, y))
 
     def test_empty_space(self, partition_schema):
         for labels in ((), ("A", "B")):
-            sp = DecisionSpace.empty(partition_schema, labels)
-            assert space_to_text(sp) == reference_text(sp)
+            self.check(DecisionSpace.empty(partition_schema, labels))
 
     def test_int_bounds(self):
         schema = AttributeSchema((("a", 0, 10), ("b", -5, 5)))
@@ -414,9 +461,7 @@ class TestSpaceToText:
             Element(Region.from_box((0, 3, True, False), (-5, 5, True, True)),
                     ClassDistribution(("A", "B"), (1, 0)), 4),
         ))
-        text = space_to_text(sp)
-        assert '"min": 0,' in text
-        assert text == reference_text(sp)
+        self.check(sp)
 
     def test_awkward_names_and_labels(self):
         names = ('quo"te', "back\\slash", "café ☃", "100%s")
@@ -425,7 +470,7 @@ class TestSpaceToText:
         box = ((0.0, 1.0, True, True),) * len(names)
         sp = DecisionSpace(schema, labels, (
             Element(Region.from_box(*box), ClassDistribution(labels, (0.25,) * 4)),))
-        assert space_to_text(sp) == reference_text(sp)
+        self.check(sp)
 
     def test_point_element_and_missing_label(self, partition_schema):
         sp = DecisionSpace(partition_schema, ("A", "B", "C"), (
@@ -434,7 +479,7 @@ class TestSpaceToText:
             Element(Region.from_box((2, 4, False, True), (0, 6, True, False)),
                     ClassDistribution(("B",), (1.0,))),
         ))
-        assert space_to_text(sp) == reference_text(sp)
+        self.check(sp)
 
     def test_float_leaves(self):
         schema = AttributeSchema((("a", -0.0, 1e16), ("b", 5e-324, 0.1 + 0.2)))
@@ -445,10 +490,10 @@ class TestSpaceToText:
             for mass in (-0.0, 1e16, 5e-324, 0.1 + 0.2, np.float64(2.5))
         )
         sp = DecisionSpace(schema, labels, elements)
-        assert space_to_text(sp) == reference_text(sp)
+        self.check(sp)
 
     def test_label_of_another_type_goes_to_json(self, partition_schema):
         labels = (("A", 1), "B")
         sp = DecisionSpace(partition_schema, labels, (
             Element(partition_schema.full_region(), ClassDistribution(labels, (0.5, 0.5))),))
-        assert space_to_text(sp) == reference_text(sp)
+        self.check(sp)

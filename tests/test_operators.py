@@ -334,6 +334,17 @@ class TestNaryAndStreaming:
             assert semantically_equal(xy, yx)
             assert classify(xy, (2, 2))[1] == classify(yx, (2, 2))[1] == "N"
 
+    def test_leftover_closed_face_is_no_point(self, schema):
+        # C cuts A's interior away and leaves A's closed face x = 2, which D
+        # meets on its own closed face: a face of positive-measure elements
+        # is no point, so it stays with A and D adds no conflict there
+        a = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
+        c = single_space(schema, ((0, 2, True, False), (0, 2, True, True)), (0.5, 0.5))
+        d = single_space(schema, ((2, 3, True, True), (0, 2, True, True)), (0.0, 1.0))
+        got = classify(merge_nary([a, c, d]), (2, 1))[0]
+        assert got.weights == classify(merge_nary([a, d]), (2, 1))[0].weights == (1.0, 0.0)
+        assert classify(merge_nary([d, c, a]), (2, 1))[0].weights == (0.0, 1.0)
+
     def test_first_streaming_step_is_plain_merge(self, rng, schema):
         x, y = random_space(rng, schema), random_space(rng, schema)
         assert semantically_equal(merge_streaming(x, y), merge(x, y))
