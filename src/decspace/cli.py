@@ -3,6 +3,11 @@
 Exit codes: 0 on success, 1 on operational errors (I/O, parse failures,
 schema mismatches, bad flags), 2 on semantic validation failures
 (overlapping rules, invalid space documents, a proven law failing).
+An unreadable or malformed input exits 1 with one ``error:`` line on
+stderr that names the file at fault (or, for a rule or tree naming an
+attribute the schema lacks, the attribute); it never ends in a traceback.
+Every JSON document is read through ``_read_doc``, and ``main`` is the one
+place that turns a rejected input into an exit code.
 All output is deterministic given inputs and flags.
 """
 
@@ -18,7 +23,6 @@ import numpy as np
 
 from .conversion import (
     OverlappingRulesError,
-    RuleSyntaxError,
     parse_ruleset,
     rules_to_space,
     tree_from_json,
@@ -61,7 +65,7 @@ def _read_text(path):
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -83,11 +87,18 @@ def _read_json(path):
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _read_space(path):
+def _read_doc(path, parse, what):
+    """``parse`` of the JSON document at ``path``; a document that ``parse``
+    rejects is reported as not being ``what``."""
+    doc = _read_json(path)
     try:
-        return space_from_json(_read_json(path))
+        return parse(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: not a decision-space document: {exc}") from exc
+        raise CliError(f"{path}: not {what}: {exc}") from exc
+
+
+def _read_space(path):
+    return _read_doc(path, space_from_json, "a decision-space document")
 
 
 def _write_space(path, space):
@@ -95,13 +106,9 @@ def _write_space(path, space):
 
 
 def _read_schema(path):
-    doc = _read_json(path)
-    if isinstance(doc, dict):
-        doc = doc.get("schema", doc)
-    try:
-        return AttributeSchema.from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: not an attribute schema: {exc}") from exc
+    # the schema list itself, or a document holding it under "schema"
+    return _read_doc(path, lambda doc: AttributeSchema.from_json(
+        doc.get("schema", doc) if isinstance(doc, dict) else doc), "an attribute schema")
 
 
 def _parse_scheme(text, num_models):
@@ -125,12 +132,8 @@ def _parse_scheme(text, num_models):
         except ValueError as exc:
             raise CliError(f"bad factored scheme spec {text!r}") from exc
         scheme = build_factored(factors)
-        if num_models is not None and scheme.num_leaves != num_models:
-            raise CliError(
-                f"scheme covers {scheme.num_leaves} models, got {num_models}"
-            )
-        return scheme
-    scheme = MergeScheme.from_json(_read_text(text))
+    else:
+        scheme = _read_doc(text, MergeScheme, "a merging scheme")
     if num_models is not None and scheme.num_leaves != num_models:
         raise CliError(
             f"scheme covers {scheme.num_leaves} models, got {num_models}"
@@ -149,37 +152,30 @@ def cmd_convert(args):
         if args.rules is not None:
             space = rules_to_space(parse_ruleset(_read_text(args.rules)), schema, labels)
         else:
-            tree, classes = tree_from_json(_read_json(args.tree))
+            tree, classes = _read_doc(args.tree, tree_from_json, "a decision-tree document")
             if labels is None and classes:
                 labels = tuple(classes)
             space = tree_to_space(tree, schema, labels)
-    except RuleSyntaxError as exc:
-        raise CliError(str(exc))
     except OverlappingRulesError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)
         raise CliError("rules overlap; conversion refused", EXIT_INVALID)
-    except ValueError as exc:
-        raise CliError(str(exc))
     _write_space(args.out, space)
     return EXIT_OK
 
 
 def cmd_merge(args):
     spaces = [_read_space(p) for p in args.inputs]
-    try:
-        if args.streaming_unbiased:
-            acc = spaces[0]
-            for sp in spaces[1:]:
-                acc = merge_streaming(acc, sp)
-            merged = acc
-            lines = None
-        else:
-            scheme = _parse_scheme(args.scheme, len(spaces))
-            merged = execute(scheme, spaces)
-            lines = _impact_lines(scheme)
-    except (ValueError, IndexError) as exc:
-        raise CliError(str(exc))
+    if args.streaming_unbiased:
+        acc = spaces[0]
+        for sp in spaces[1:]:
+            acc = merge_streaming(acc, sp)
+        merged = acc
+        lines = None
+    else:
+        scheme = _parse_scheme(args.scheme, len(spaces))
+        merged = execute(scheme, spaces)
+        lines = _impact_lines(scheme)
     _write_space(args.out, merged)
     if lines:  # keep stdout clean when it carries the space itself
         stream = sys.stderr if args.out == "-" else sys.stdout
@@ -189,20 +185,14 @@ def cmd_merge(args):
 
 def cmd_restrict(args):
     x, y = _read_space(args.inputs[0]), _read_space(args.inputs[1])
-    try:
-        _write_space(args.out, restrict(x, y))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    _write_space(args.out, restrict(x, y))
     return EXIT_OK
 
 
 def cmd_compose(args):
     x, y = _read_space(args.inputs[0]), _read_space(args.inputs[1])
     op = op_plus if args.op == "plus" else op_barodot
-    try:
-        _write_space(args.out, op(x, y))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    _write_space(args.out, op(x, y))
     return EXIT_OK
 
 
@@ -271,11 +261,7 @@ def cmd_classify(args):
 
 
 def cmd_impact(args):
-    try:
-        scheme = _parse_scheme(args.scheme, None)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    print("\n".join(_impact_lines(scheme)))
+    print("\n".join(_impact_lines(_parse_scheme(args.scheme, None))))
     return EXIT_OK
 
 
@@ -303,14 +289,8 @@ def cmd_laws(args):
 
 
 def cmd_simulate(args):
-    try:
-        cfg = StreamConfig.from_json(_read_json(args.config))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad experiment config: {exc}")
-    try:
-        result = run_experiment(cfg, args.strategy)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg = _read_doc(args.config, StreamConfig.from_json, "an experiment config")
+    result = run_experiment(cfg, args.strategy)
     _write_text(args.out, result.as_csv())
     stream = sys.stderr if args.out == "-" else sys.stdout
     print(json.dumps(result.summary(), indent=2), file=stream)
@@ -419,11 +399,13 @@ def main(argv=None):
     # only the invoked one is needed to parse it
     command = argv[0] if argv and argv[0] in {name for name, *_ in COMMANDS} else None
     args = build_parser(command).parse_args(argv)
+    # the one place a rejected input becomes an exit code; a TypeError
+    # outside a document is a bug and keeps its traceback
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return getattr(exc, "code", EXIT_ERROR)
 
 
 if __name__ == "__main__":

@@ -332,9 +332,20 @@ def tree_from_json(doc):
     """Tree document: {"classes": [...]?, "tree": {...}} with internal nodes
     {"attr", "threshold", "left", "right"} and leaves {"label"} or
     {"value": [percent, ...]} (requires "classes")."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"tree document must be an object, not {type(doc).__name__}")
     classes = doc.get("classes")
+    if classes is not None and not (
+        isinstance(classes, list) and all(isinstance(c, str) for c in classes)
+    ):
+        raise ValueError(f'"classes" must be a list of label strings: {classes!r}')
 
     def build(node):
+        # "attr" and "label", where given, must be names
+        if not isinstance(node, dict) or not all(
+            isinstance(node.get(key, ""), str) for key in ("attr", "label")
+        ):
+            raise ValueError(f"malformed tree node: {node!r}")
         if "attr" in node:
             return DecisionTreeNode.split(
                 node["attr"], node["threshold"],

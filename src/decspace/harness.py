@@ -24,7 +24,7 @@ from .model import (
 )
 from .conversion import Rule, RuleSet, rules_to_space
 from .operators import merge, merge_nary, merge_streaming
-from .schemes import MergeScheme, build_balanced, build_factored, execute
+from .schemes import MergeScheme, build_factored, execute
 
 STRATEGIES = ("chain", "balanced", "factored", "streaming-unbiased")
 
@@ -52,6 +52,8 @@ class StreamConfig:
             raise ValueError("batch_size must be >= 1")
         if self.num_learners < 1:
             raise ValueError("num_learners must be >= 1")
+        if self.test_size < 1:
+            raise ValueError("test_size must be >= 1")
 
     @classmethod
     def from_json(cls, doc):
@@ -232,9 +234,7 @@ def run_experiment(cfg, strategy):
                 batch_model if model is None
                 else merge_streaming(model, batch_model)
             )
-        elif strategy == "balanced" and not (b + 1) & b:
-            model = execute(build_balanced(b + 1), batch_models)
-        elif strategy in ("factored", "balanced"):
+        else:  # "factored"; "balanced" too, as build_balanced(2^k) is this tree
             model = execute(_equal_impact_scheme(b + 1), batch_models)
         accuracies.append(_accuracy(model, test_points, test_labels))
     post = accuracies[cfg.drift_at:] if cfg.drift_at else accuracies

@@ -88,13 +88,13 @@ def _run_pair_law(name, kind, rng, trials, check, nspaces=2, **genkw):
     return LawResult(name, kind, True, trials)
 
 
-def run_all(trials=1000, seed=0, tol=LAW_TOL):
+def run_all(trials=1000, seed=0):
     """Run every law check; returns a list of LawResult."""
     rng = np.random.default_rng(seed)
     results = []
 
     def eq(a, b):
-        return semantically_equal(a, b, tol)
+        return semantically_equal(a, b, LAW_TOL)
 
     results.append(_run_pair_law(
         "merge_commutative", "proven", rng, trials,

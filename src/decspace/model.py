@@ -105,11 +105,11 @@ class ClassDistribution:
                 best = i
         return self.labels[best]
 
-    def close_to(self, other, tol=EQUALITY_TOL):
+    def close_to(self, other):
         if self.labels != other.labels:
             other = other.extended(self.labels)
         return all(
-            abs(a - b) <= tol for a, b in zip(self.weights, other.weights)
+            abs(a - b) <= EQUALITY_TOL for a, b in zip(self.weights, other.weights)
         )
 
     def as_percentages(self):

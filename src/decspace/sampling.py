@@ -50,27 +50,17 @@ def random_space(
         if split is None:
             continue
         boxes[i : i + 1] = list(split)
-    elems = []
-    for b in boxes:
-        if coverage < 1.0 and rng.random() > coverage:
-            continue
+
+    def element(box):
         w = rng.random(len(class_labels)) + 0.05
         w = w / w.sum()
-        elems.append(
-            Element(
-                Region((b,), _canonical=True),
-                ClassDistribution(class_labels, tuple(float(x) for x in w)),
-            )
+        return Element(
+            Region((box,), _canonical=True),
+            ClassDistribution(class_labels, tuple(float(x) for x in w)),
         )
+
+    elems = [element(b) for b in boxes if coverage >= 1.0 or rng.random() <= coverage]
     if not elems:  # keep at least one element so footprints are never empty
-        b = boxes[int(rng.integers(0, len(boxes)))]
-        w = rng.random(len(class_labels)) + 0.05
-        w = w / w.sum()
-        elems.append(
-            Element(
-                Region((b,), _canonical=True),
-                ClassDistribution(class_labels, tuple(float(x) for x in w)),
-            )
-        )
+        elems.append(element(boxes[int(rng.integers(0, len(boxes)))]))
     return DecisionSpace(schema, tuple(class_labels), tuple(elems))
 

@@ -24,8 +24,10 @@ def _collect_leaves(node, out):
 
 
 def _freeze(node):
-    if isinstance(node, int):
+    if isinstance(node, int) and not isinstance(node, bool):
         return node
+    if not isinstance(node, (list, tuple)):
+        raise ValueError(f"scheme node must be a model index or a list: {node!r}")
     return tuple(_freeze(c) for c in node)
 
 
@@ -113,10 +115,7 @@ def build_balanced(m):
     """Balanced binary tree over m = 2^k models: every impact is 2^-k."""
     if m < 1 or m & (m - 1):
         raise ValueError(f"balanced scheme needs a power-of-two model count, got {m}")
-    level = list(range(m))
-    while len(level) > 1:
-        level = [(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return MergeScheme(level[0])
+    return MergeScheme(0) if m == 1 else build_factored([2] * (m.bit_length() - 1))
 
 
 def build_factored(factors):

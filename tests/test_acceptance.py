@@ -51,7 +51,7 @@ LAW_SEED = 0
 @pytest.fixture(scope="module")
 def law_results():
     start = time.perf_counter()
-    results = run_all(trials=LAW_TRIALS, seed=LAW_SEED, tol=1e-9)
+    results = run_all(trials=LAW_TRIALS, seed=LAW_SEED)
     return results, time.perf_counter() - start
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,7 +61,7 @@ def space_file(tmp_path, rules_file, schema_file):
 
 class TestConvert:
     def test_five_element_space(self, space_file):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         assert len(doc["elements"]) == 5
         assert doc["classes"] == ["A", "B", "C", "D", "E"]
 
@@ -106,7 +107,7 @@ class TestMergeCommand:
     def test_single_input_identity(self, tmp_path, space_file, capsys):
         out = tmp_path / "m.json"
         assert main(["merge", "--in", space_file, "--out", str(out)]) == 0
-        original = space_from_json(json.loads(open(space_file).read()))
+        original = space_from_json(json.loads(Path(space_file).read_text()))
         merged = space_from_json(json.loads(out.read_text()))
         assert semantically_equal(merged, original)
 
@@ -155,7 +156,7 @@ class TestRestrictCompose:
         out = tmp_path / "r.json"
         assert main(["restrict", "--in", space_file, space_file,
                      "--out", str(out)]) == 0
-        assert json.loads(out.read_text()) == json.loads(open(space_file).read())
+        assert json.loads(out.read_text()) == json.loads(Path(space_file).read_text())
 
     def test_compose_plus_disjoint_empty(self, tmp_path, schema_file, capsys):
         left = tmp_path / "l.txt"
@@ -329,7 +330,7 @@ class TestImpactValidateLaws:
         assert main(["impact", "--scheme", "chain"]) == 1
 
     def test_validate_detects_overlap(self, tmp_path, space_file, capsys):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         doc["elements"].append(doc["elements"][0])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -340,7 +341,7 @@ class TestImpactValidateLaws:
     @pytest.mark.parametrize("defect", sorted(NON_FINITE))
     def test_non_finite_document_fails(self, tmp_path, space_file, capsys,
                                        command, defect):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         NON_FINITE[defect](doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -368,16 +369,17 @@ class TestImpactValidateLaws:
         assert capsys.readouterr().out == first
 
 
+SIMULATE_CONFIG = {
+    "seed": 7, "num_learners": 1, "drift_at": 1, "batches": 2, "batch_size": 150,
+    "domain": [{"name": "x", "min": 0, "max": 10}, {"name": "y", "min": 0, "max": 10}],
+    "grid": 4, "test_size": 100,
+}
+
+
 class TestSimulate:
     def test_runs_and_emits_csv(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "seed": 7, "num_learners": 1, "drift_at": 1, "batches": 2,
-            "batch_size": 150,
-            "domain": [{"name": "x", "min": 0, "max": 10},
-                       {"name": "y", "min": 0, "max": 10}],
-            "grid": 4, "test_size": 100,
-        }))
+        cfg.write_text(json.dumps(SIMULATE_CONFIG))
         out = tmp_path / "acc.csv"
         assert main(["simulate", "--config", str(cfg), "--strategy", "chain",
                      "--out", str(out)]) == 0
@@ -390,6 +392,76 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+
+SCHEME_DOCS = {"string": '"x"', "object": '{"a": 1}', "float-leaf": "[0, 1.5]",
+               "bool-leaf": "[0, true]"}
+SCHEME_COMMANDS = {
+    "merge": ["merge", "--in", "{space}", "{space}", "--scheme", "{file}",
+              "--out", "{tmp}/m.json"],
+    "impact": ["impact", "--scheme", "{file}"],
+}
+CONVERT_TREE = ["convert", "--tree", "{file}", "--schema", "{schema}"]
+CONVERT_RULES = ["convert", "--rules", "{file}", "--schema", "{schema}"]
+
+
+def _tree(**node):
+    return json.dumps({"classes": ["A", "B"], "tree": node})
+
+
+# (id, bad file, its content, argv, exit code, what the error line names:
+# the bad file, or where no one file is at fault, the attribute or the overlap)
+MALFORMED = [
+    *((f"{command}-scheme-{name}", "scheme.json", text, argv, 1, "{file}")
+      for name, text in SCHEME_DOCS.items()
+      for command, argv in SCHEME_COMMANDS.items()),
+    ("tree-not-an-object", "tree.json", '{"tree": 5}', CONVERT_TREE, 1, "{file}"),
+    ("tree-document-a-list", "tree.json", "[]", CONVERT_TREE, 1, "{file}"),
+    ("tree-label-not-a-string", "tree.json", _tree(label=5), CONVERT_TREE, 1, "{file}"),
+    ("tree-classes-not-a-list", "tree.json", json.dumps({"classes": 5, "tree": {"label": "A"}}),
+     CONVERT_TREE, 1, "{file}"),
+    ("tree-split-without-left", "tree.json",
+     _tree(attr="age", threshold=3, right={"label": "A"}), CONVERT_TREE, 1, "{file}"),
+    ("tree-unknown-attribute", "tree.json",
+     _tree(attr="height", threshold=3, left={"label": "A"}, right={"label": "B"}),
+     CONVERT_TREE, 1, "height"),
+    ("rules-unknown-attribute", "rules.txt", "IF height < 2 THEN A\n",
+     CONVERT_RULES, 1, "height"),
+    ("instances-not-utf8", "pts.csv", b"3,3\n\xff,1\n",
+     ["classify", "--space", "{space}", "--instances", "{file}"], 1, "{file}"),
+    ("schema-not-utf8", "schema.json", b'[{"name": "\xff"}]',
+     ["convert", "--rules", "{rules}", "--schema", "{file}"], 1, "{file}"),
+    ("simulate-test-size-0", "cfg.json", json.dumps({**SIMULATE_CONFIG, "test_size": 0}),
+     ["simulate", "--config", "{file}", "--out", "{tmp}/acc.csv"], 1, "{file}"),
+    ("overlapping-rules", "rules.txt", "IF age < 4 THEN A\nIF age < 5 THEN B\n",
+     CONVERT_RULES, 2, "overlap"),
+]
+
+
+class TestMalformedInput:
+    """Every rejected input leaves ``main`` as an exit code and one final
+    ``error:`` line, with nothing on stdout and no traceback."""
+
+    @pytest.mark.parametrize("name, content, argv, code, culprit",
+                             [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_one_error_line(self, tmp_path, space_file, schema_file, rules_file, capsys,
+                            name, content, argv, code, culprit):
+        bad = tmp_path / name
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
+        fill = {"file": str(bad), "space": space_file, "schema": schema_file,
+                "rules": rules_file, "tmp": str(tmp_path)}
+        capsys.readouterr()  # drop what the fixtures printed
+        assert main([arg.format(**fill) for arg in argv]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[-1].startswith("error: ")
+        assert sum(line.startswith("error: ") for line in lines) == 1
+        assert culprit.format(**fill) in lines[-1]
 
 
 class TestParser:

@@ -186,6 +186,16 @@ class TestTrees:
         with pytest.raises(ValueError):
             tree_from_json(doc)
 
+    @pytest.mark.parametrize("doc", [
+        [], None, {"tree": 5}, {"tree": {"label": 5}}, {"tree": {"label": ["A"]}},
+        {"tree": {"attr": ["age"], "threshold": 1, "left": {"label": "A"},
+                  "right": {"label": "B"}}},
+        {"classes": 5, "tree": {"label": "A"}}, {"classes": "AB", "tree": {"label": "A"}},
+    ])
+    def test_malformed_document_is_a_value_error(self, doc):
+        with pytest.raises(ValueError):
+            tree_from_json(doc)
+
     def test_repeated_attribute_bounds_tightened(self):
         schema = AttributeSchema((("age", 0.0, 10.0),))
         tree = DecisionTreeNode.split(

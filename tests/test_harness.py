@@ -35,6 +35,12 @@ class TestConfig:
             StreamConfig(seed=0, num_learners=1, drift_at=0, batches=4,
                          batch_size=0, domain=dom)
 
+    def test_test_size_must_be_positive(self):
+        dom = AttributeSchema((("x", 0.0, 1.0),))
+        with pytest.raises(ValueError):
+            StreamConfig(seed=0, num_learners=1, drift_at=0, batches=4,
+                         batch_size=10, domain=dom, test_size=0)
+
     def test_from_json(self, cfg):
         doc = {
             "seed": 11, "num_learners": 2, "drift_at": 2, "batches": 4,
@@ -205,6 +211,11 @@ class TestRunExperiment:
         }
         accs = {r.accuracies for r in results.values()}
         assert len(accs) == 1
+
+    def test_balanced_equals_factored(self, cfg):
+        assert cfg.batches == 4
+        assert (run_experiment(cfg, "balanced").accuracies
+                == run_experiment(cfg, "factored").accuracies)
 
     def test_unknown_strategy(self, cfg):
         with pytest.raises(ValueError):

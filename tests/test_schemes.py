@@ -42,6 +42,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MergeScheme([[0], 1])
 
+    @pytest.mark.parametrize("root", ["x", {"a": 1}, [0, 1.5], [0, True]])
+    def test_nodes_must_be_indices_or_lists(self, root):
+        with pytest.raises(ValueError, match="model index or a list"):
+            MergeScheme(root)
+
     def test_json_round_trip(self):
         scheme = MergeScheme([[0, 1], [2, [3, 4]]])
         again = MergeScheme.from_json(scheme.to_json())
@@ -59,6 +64,13 @@ class TestBuilders:
 
     def test_chain_of_two_equals_balanced(self):
         assert build_chain(2) == build_balanced(2)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_balanced_pairs_neighbours_level_by_level(self, k):
+        level = list(range(2 ** k))
+        while len(level) > 1:
+            level = [(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        assert build_balanced(2 ** k).root == level[0]
 
     def test_balanced_requires_power_of_two(self):
         with pytest.raises(ValueError):
