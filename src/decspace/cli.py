@@ -80,17 +80,14 @@ def _write_text(path, text):
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_json(path):
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON: {exc}") from exc
-
-
 def _read_doc(path, parse, what):
     """``parse`` of the JSON document at ``path``; a document that ``parse``
     rejects is reported as not being ``what``."""
-    doc = _read_json(path)
+    try:
+        doc = json.loads(_read_text(path))
+    # RecursionError: arrays or objects nested past the interpreter's limit
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CliError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return parse(doc)
     except (KeyError, TypeError, ValueError) as exc:

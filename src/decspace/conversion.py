@@ -255,7 +255,8 @@ def rules_to_space(rules, schema, class_labels=None):
 
     Missing bounds fall back to the attribute domain; an unmentioned
     attribute covers its full closed domain.  Overlapping rules raise
-    OverlappingRulesError carrying the validation report.
+    OverlappingRulesError carrying the validation report; an outcome that
+    names a label missing from ``class_labels`` raises ValueError.
     """
     names = set(schema.names)
     for r in rules.rules:
@@ -267,14 +268,15 @@ def rules_to_space(rules, schema, class_labels=None):
                 raise ValueError(
                     f"threshold {v:g} outside domain of {a!r}"
                 )
+    named = [[r.outcome] if isinstance(r.outcome, str) else r.outcome.labels
+             for r in rules.rules]
     if class_labels is None:
-        class_labels = []
-        for r in rules.rules:
-            labels = [r.outcome] if isinstance(r.outcome, str) else r.outcome.labels
-            for l in labels:
-                if l not in class_labels:
-                    class_labels.append(l)
+        class_labels = dict.fromkeys(l for labels in named for l in labels)
     class_labels = tuple(class_labels)
+    for labels in named:
+        for l in labels:
+            if l not in class_labels:
+                raise ValueError(f"outcome label {l!r} is not one of the classes {class_labels}")
 
     elems = []
     for r in rules.rules:

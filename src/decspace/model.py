@@ -284,35 +284,29 @@ def classify_many(space, instances):
 
 
 def _sample_axes(spaces):
-    """Per-attribute sample coordinates for overlay comparison: midpoints of
-    the cells induced by all boundary coordinates, plus the exact coordinate
-    of any degenerate (point) bound."""
-    schema = spaces[0].schema
+    """Per-attribute sample coordinates for overlay comparison: every
+    boundary coordinate and the midpoint between each two neighbours.  Box
+    membership is constant along the attribute on each coordinate and on
+    each open interval between neighbours, so the grid they span has a point
+    in every overlay cell."""
     axes = []
-    for k, attr in enumerate(schema.attributes):
+    for k, attr in enumerate(spaces[0].schema.attributes):
         coords = {attr.domain_min, attr.domain_max}
-        degenerate = set()
         for sp in spaces:
             for e in sp.elements:
                 for b in e.region.boxes:
-                    lo, hi = b[k][0], b[k][1]
-                    coords.add(lo)
-                    coords.add(hi)
-                    if lo == hi:
-                        degenerate.add(lo)
+                    coords.update(b[k][:2])
         cs = sorted(coords)
-        samples = [(a + b) / 2.0 for a, b in zip(cs, cs[1:]) if a < b]
-        samples.extend(sorted(degenerate))
-        axes.append(samples)
+        axes.append(cs + [(a + b) / 2.0 for a, b in zip(cs, cs[1:])])
     return axes
 
 
 def semantically_equal(a, b, tol=EQUALITY_TOL):
-    """True iff the two spaces cover the same region (up to measure zero)
-    and agree on distributions within ``tol`` on every overlay cell.
+    """True iff the two spaces cover the same points and agree on
+    distributions within ``tol`` at every point.
 
-    Box decomposition never affects the result.  Degenerate (point or slab)
-    elements are compared at their exact coordinates.
+    Box decomposition never affects the result.  Each overlay cell, a shared
+    face or a point element included, is compared at a sample inside it.
     """
     if a.schema != b.schema:
         raise ValueError("schema mismatch")

@@ -5,12 +5,11 @@ The three merges share one overlay and differ only in how an element is
 weighed.  Conflicts are resolved by weighted averaging of the class
 distributions; the weight of an element is the mean projected extent of its
 region (its specialization), or its stored mass in the streaming merge.
-Two regions conflict when they share positive measure, or when either of
-them has measure zero and they meet: a point element's weight is 0, so on
-its point the other element's value holds in either operand order.  A face
-that two positive-measure closed boxes share is no conflict; it stays with
-the earlier operand so outputs stay disjoint.  Conflicting measure-zero
-regions are averaged unweighted when every weight is zero.
+Elements of different spaces conflict on every point they share, a shared
+closed face or a single point included, so no point's value depends on
+operand order.  A point element's weight is 0, so on its point the other
+element's value holds; conflicting measure-zero regions are averaged
+unweighted when every weight is zero.
 """
 
 from dataclasses import dataclass
@@ -73,15 +72,6 @@ def strictly_subsumes(x, y):
     a proper subset of x's, strictly inside both extremes (a projection that
     reaches either end of x's extent is only ordinary containment)."""
     return _strictly_inside(_projections(y.region), _projections(x.region))
-
-
-def _conflicts(shared, zero, point):
-    """Is the non-empty overlap ``shared`` of a fragment and an entering
-    element a conflict?  Positive measure always is; a measure-zero overlap
-    when the entering element (``point``) or a contributor of the fragment
-    (``zero``) has measure zero.  A closed face left over from
-    positive-measure elements is no point."""
-    return point or zero or shared.measure() > 0
 
 
 def combine_values(values, masses):
@@ -152,42 +142,35 @@ def _overlay(entries):
     """Cut the regions of ``(space index, element)`` entries, listed space by
     space, into disjoint fragments, each with the entries that cover it.
 
-    Each entry splits every fragment it conflicts with into the shared part,
-    which gains the entry as a contributor, and the rest.  The part of the
-    entry that no earlier fragment holds becomes a fragment of its own, so a
-    closed face shared without conflict stays with the earlier fragment.
-    A fragment whose extent misses the entry's is skipped untested.
-    Returns ``[(Region, contributor entry indices)]``.
+    Each entry splits every fragment it meets into the shared part, which
+    gains the entry as a contributor, and the rest; any shared point is a
+    conflict.  The part of the entry that no earlier fragment holds becomes
+    a fragment of its own.  A fragment whose extent misses the entry's is
+    skipped untested.  Returns ``[(Region, contributor entry indices)]``.
     """
-    # (Region, its extent, contributor entry indices, bit set of their
-    # spaces, whether a contributor has measure zero)
+    # (Region, its extent, contributor entry indices, bit set of their spaces)
     frags = []
     for k, (s, e) in enumerate(entries):
         bit = 1 << s
-        point = e.region.measure() == 0
         ext = e.region.extent()
         rest = e.region
         nxt = []
         for frag in frags:
-            reg, fext, contribs, spaces, zero = frag
+            reg, fext, contribs, spaces = frag
             # elements of one space are pairwise disjoint, so a fragment
             # inside one of them cannot meet another
             if spaces & bit or _apart(fext, ext) or (shared := reg & e.region).is_empty:
                 nxt.append(frag)
                 continue
             rest = rest - shared
-            if _conflicts(shared, zero, point):
-                nxt.append((shared, shared.extent(), contribs + (k,), spaces | bit,
-                            zero or point))
-                reg = reg - shared
-                if reg.is_empty:
-                    continue
-                frag = (reg, reg.extent(), contribs, spaces, zero)
-            nxt.append(frag)
+            nxt.append((shared, shared.extent(), contribs + (k,), spaces | bit))
+            reg = reg - shared
+            if not reg.is_empty:
+                nxt.append((reg, reg.extent(), contribs, spaces))
         if not rest.is_empty:
-            nxt.append((rest, rest.extent(), (k,), bit, point))
+            nxt.append((rest, rest.extent(), (k,), bit))
         frags = nxt
-    return [(reg, contribs) for reg, _, contribs, _, _ in frags]
+    return [(reg, contribs) for reg, _, contribs, _ in frags]
 
 
 @dataclass(frozen=True)
@@ -201,9 +184,9 @@ class IntersectionReport:
 
 
 def intersection_report(x_space, y_space):
-    """The overlay of two spaces without the subsumption-drop pass.  A
-    closed face the two spaces share without conflict belongs to the
-    remainder of the x element only."""
+    """The overlay of two spaces without the subsumption-drop pass: every
+    point an x and a y element share, a closed face included, is in their
+    pair's shared region and in neither remainder."""
     _check_pair(x_space, y_space)
     n = len(x_space.elements)
     entries = [(0, e) for e in x_space.elements] + [(1, e) for e in y_space.elements]

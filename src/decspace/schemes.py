@@ -11,30 +11,45 @@ from dataclasses import dataclass
 from .operators import merge_nary
 
 
-def _collect_leaves(node, out):
-    if isinstance(node, int):
-        out.append(node)
-        return
-    if not isinstance(node, (list, tuple)) or len(node) < 2:
-        raise ValueError(
-            f"internal scheme node must have >= 2 children: {node!r}"
-        )
-    for child in node:
-        _collect_leaves(child, out)
+def _fold(root, leaf, internal):
+    """Bottom-up evaluation of a nested scheme without recursion, so any
+    depth works: ``leaf(node)`` for every node that is not a list or tuple,
+    ``internal(results)`` for every other one, given its children's results
+    in order.  Children are evaluated left to right, depth first."""
+    stack, results = [(root, False)], []
+    while stack:
+        node, expanded = stack.pop()
+        if not isinstance(node, (list, tuple)):
+            results.append(leaf(node))
+        elif expanded:
+            start = len(results) - len(node)
+            results[start:] = [internal(results[start:])]
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node))
+    return results[0]
 
 
-def _freeze(node):
-    if isinstance(node, int) and not isinstance(node, bool):
-        return node
-    if not isinstance(node, (list, tuple)):
+def _freeze(root):
+    """``root`` with every list made a tuple, and its leaves in order.
+    Raises ValueError on a node that is neither a model index nor a list,
+    and on an internal node with fewer than two children."""
+    leaves = []
+
+    def leaf(node):
+        if isinstance(node, int) and not isinstance(node, bool):
+            leaves.append(node)
+            return node
         raise ValueError(f"scheme node must be a model index or a list: {node!r}")
-    return tuple(_freeze(c) for c in node)
 
+    def internal(children):
+        if len(children) < 2:
+            raise ValueError(
+                f"internal scheme node must have >= 2 children: {tuple(children)!r}"
+            )
+        return tuple(children)
 
-def _thaw(node):
-    if isinstance(node, int):
-        return node
-    return [_thaw(c) for c in node]
+    return _fold(root, leaf, internal), leaves
 
 
 @dataclass(frozen=True)
@@ -45,9 +60,8 @@ class MergeScheme:
     root: object
 
     def __post_init__(self):
-        object.__setattr__(self, "root", _freeze(self.root))
-        leaves = []
-        _collect_leaves(self.root, leaves)
+        root, leaves = _freeze(self.root)
+        object.__setattr__(self, "root", root)
         if sorted(leaves) != list(range(len(leaves))):
             raise ValueError(
                 f"leaf indices must be a permutation of 0..{len(leaves) - 1}: "
@@ -60,7 +74,8 @@ class MergeScheme:
         return cls(json.loads(text))
 
     def to_json(self):
-        return json.dumps(_thaw(self.root))
+        # json.dumps's output, built without one recursive call per level
+        return _fold(self.root, str, lambda children: f"[{', '.join(children)}]")
 
 
 def execute(scheme, spaces):
@@ -70,13 +85,7 @@ def execute(scheme, spaces):
         raise IndexError(
             f"scheme references {scheme.num_leaves} models, got {len(spaces)}"
         )
-
-    def run(node):
-        if isinstance(node, int):
-            return spaces[node]
-        return merge_nary([run(child) for child in node])
-
-    return run(scheme.root)
+    return _fold(scheme.root, spaces.__getitem__, merge_nary)
 
 
 def impacts(scheme):
@@ -87,16 +96,13 @@ def impacts(scheme):
     structural (nominal) otherwise.
     """
     out = [0.0] * scheme.num_leaves
-
-    def walk(node, weight):
+    stack = [(scheme.root, 1.0)]
+    while stack:
+        node, weight = stack.pop()
         if isinstance(node, int):
             out[node] = weight
-            return
-        share = weight / len(node)
-        for child in node:
-            walk(child, share)
-
-    walk(scheme.root, 1.0)
+        else:
+            stack.extend((child, weight / len(node)) for child in node)
     return tuple(out)
 
 

@@ -146,6 +146,26 @@ class TestMergeCommand:
         b = space_from_json(json.loads(out2.read_text()))
         assert semantically_equal(a, b)
 
+    def test_shared_face_independent_of_file_order(self, tmp_path, capsys):
+        # x <= 4 and x >= 4 share the face x = 4, a conflict in either order
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps([{"name": "x", "min": 0, "max": 10},
+                                      {"name": "y", "min": 0, "max": 2}]))
+        for name, rule in (("a", "IF x <= 4 THEN A\n"), ("b", "IF x >= 4 THEN B\n")):
+            (tmp_path / f"{name}.txt").write_text(rule)
+            assert main(["convert", "--rules", str(tmp_path / f"{name}.txt"),
+                         "--schema", str(schema), "--out", str(tmp_path / f"{name}.json")]) == 0
+        lines = []
+        for order in ("ab", "ba"):
+            out = tmp_path / f"{order}-merged.json"
+            assert main(["merge", "--in", *(str(tmp_path / f"{n}.json") for n in order),
+                         "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["classify", "--space", str(out), "--instance", "4,1"]) == 0
+            lines.append(capsys.readouterr().out)
+        # weights 3 and 4
+        assert lines[0] == lines[1] == "4,1\tB\tA=42.857143%, B=57.142857%\n"
+
     def test_bad_scheme_count(self, space_file, capsys):
         assert main(["merge", "--in", space_file, space_file,
                      "--scheme", "factored:3x2"]) == 1
@@ -433,6 +453,10 @@ MALFORMED = [
      ["convert", "--rules", "{rules}", "--schema", "{file}"], 1, "{file}"),
     ("simulate-test-size-0", "cfg.json", json.dumps({**SIMULATE_CONFIG, "test_size": 0}),
      ["simulate", "--config", "{file}", "--out", "{tmp}/acc.csv"], 1, "{file}"),
+    ("classes-missing-label", "rules.txt", "IF age < 2 THEN A\n",
+     [*CONVERT_RULES, "--classes", "X"], 1, "'A'"),
+    ("scheme-nested-too-deep", "scheme.json", "[" * 100_000 + "0" + "]" * 100_000,
+     ["impact", "--scheme", "{file}"], 1, "{file}"),
     ("overlapping-rules", "rules.txt", "IF age < 4 THEN A\nIF age < 5 THEN B\n",
      CONVERT_RULES, 2, "overlap"),
 ]

@@ -124,6 +124,12 @@ class TestRulesToSpace:
         with pytest.raises(ValueError):
             rules_to_space(parse_ruleset("IF age < 40 THEN A"), schema)
 
+    @pytest.mark.parametrize("text", ["IF age < 2 THEN A", "IF age < 2 THEN X = 40%, A = 60%"])
+    def test_outcome_label_missing_from_classes(self, text):
+        schema = AttributeSchema((("age", 0.0, 10.0),))
+        with pytest.raises(ValueError, match="'A'"):
+            rules_to_space(parse_ruleset(text), schema, ("X",))
+
     def test_random_rulesets_agree_with_direct_evaluation(self, rng):
         schema = AttributeSchema((("a0", 0.0, 8.0), ("a1", 0.0, 8.0)))
         labels = ("P", "Q", "R")
@@ -180,6 +186,12 @@ class TestTrees:
         dist, label = classify(space, (5, 1))
         assert dist.weights == pytest.approx((0.3, 0.7))
         assert label == "No"
+
+    def test_leaf_label_missing_from_classes(self):
+        schema = AttributeSchema((("age", 0.0, 6.0), ("degree", 0.0, 6.0)))
+        tree, _ = tree_from_json(tree_json_fixture())
+        with pytest.raises(ValueError, match="'Yes'"):
+            tree_to_space(tree, schema, ("No",))
 
     def test_value_leaf_requires_classes(self):
         doc = {"tree": {"value": [50, 50]}}

@@ -335,6 +335,21 @@ class TestSemanticEquality:
         assert semantically_equal(one(0.5), one(0.5 + tol / 2), tol)
         assert not semantically_equal(one(0.5), one(0.5 + 2 * tol), tol)
 
+    def test_face_ownership_detected(self, partition_schema):
+        # the same two values, the face age = 3 owned by the other side
+        labels = ("A", "B")
+
+        def halves(left_owns):
+            return DecisionSpace(partition_schema, labels, (
+                Element(Region.from_box((0, 3, True, left_owns), (0, 6, True, True)),
+                        ClassDistribution.one_hot(labels, "A")),
+                Element(Region.from_box((3, 6, not left_owns, True), (0, 6, True, True)),
+                        ClassDistribution.one_hot(labels, "B")),
+            ))
+
+        assert semantically_equal(halves(True), halves(True))
+        assert not semantically_equal(halves(True), halves(False))
+
     def test_schema_mismatch(self, partition_space):
         other_schema = AttributeSchema((("age", 0.0, 7.0), ("degree", 0.0, 6.0)))
         other = DecisionSpace.empty(other_schema, partition_space.class_labels)

@@ -71,10 +71,12 @@ class TestIntersectWithSpace:
             (0, 0, Region.from_box((7.0, 8.0, True, True), (3.0, 10.0, True, True))),
         )
 
-    def test_face_touch_is_not_a_conflict(self, schema):
+    def test_face_touch_is_a_conflict(self, schema):
         x = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
         other = single_space(schema, ((2, 4, True, True), (0, 2, True, True)), (0.0, 1.0))
-        assert intersection_report(x, other).pairs == ()
+        face = Region.from_box((2, 2, True, True), (0, 2, True, True))
+        assert intersection_report(x, other).pairs == ((0, 0, face),)
+        assert intersection_report(other, x).pairs == ((0, 0, face),)
 
     def test_report_remainders_disjoint_from_shared(self, overlap_pair):
         grey, checker = overlap_pair
@@ -84,36 +86,36 @@ class TestIntersectWithSpace:
         assert (rep.x_remainders[0] & shared).is_empty
         assert (rep.y_remainders[0] & shared).is_empty
 
-    def test_report_shared_face_stays_with_x(self, schema):
+    def test_report_shared_face_is_a_pair(self, schema):
+        # the face belongs to the pair, so neither remainder holds it
         x = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
         y = single_space(schema, ((2, 4, True, True), (0, 2, True, True)), (0.0, 1.0))
-        rep = intersection_report(x, y)
-        assert rep.pairs == ()
-        assert rep.x_remainders[0] == x.elements[0].region
-        assert rep.y_remainders[0] == Region.from_box((2, 4, False, True), (0, 2, True, True))
+        left = Region.from_box((0, 2, True, False), (0, 2, True, True))
+        right = Region.from_box((2, 4, False, True), (0, 2, True, True))
+        for a, b, a_rest, b_rest in ((x, y, left, right), (y, x, right, left)):
+            rep = intersection_report(a, b)
+            assert rep.pairs == ((0, 0, Region.from_box((2, 2, True, True), (0, 2, True, True))),)
+            assert rep.x_remainders[0] == a_rest
+            assert rep.y_remainders[0] == b_rest
 
 
 class TestTouchingExtents:
     """Extents that meet at exactly one endpoint are not pruned from the
-    overlay: the shared corner or face stays with the earlier operand, so
-    the later one's leftover excludes it."""
+    overlay: the corner or face they share is a conflict, so both operand
+    orders give the same elements and neither leftover holds it."""
 
     @staticmethod
     def summary(space):
         return [(e.region, e.value.weights, e.mass) for e in space.elements]
 
-    def check(self, x, y, x_first, y_first):
-        for got in (merge(x, y), merge_nary([x, y])):
-            assert self.summary(got) == x_first
-        for got in (merge(y, x), merge_nary([y, x])):
-            assert self.summary(got) == y_first
-        for a, b, merged in ((x, y, x_first), (y, x, y_first)):
+    def check(self, x, y, shared, merged):
+        for a, b in ((x, y), (y, x)):
+            for got in (merge(a, b), merge_nary([a, b])):
+                assert set(self.summary(got)) == set(merged)
             rep = intersection_report(a, b)
-            assert rep.pairs == ()
-            leftovers = [rep.x_remainders[0], rep.y_remainders[0]]
-            assert [r for r in leftovers if not r.is_empty] == [
-                reg for reg, _, _ in merged
-            ]
+            assert rep.pairs == ((0, 0, shared),)
+            leftovers = {rep.x_remainders[0], rep.y_remainders[0]}
+            assert leftovers == {reg for reg, _, _ in merged} - {shared}
 
     def test_point_on_box_corner(self, schema):
         # a point conflicts with the box it meets and weighs 0 there, so
@@ -130,14 +132,15 @@ class TestTouchingExtents:
             assert [r for r in leftovers if not r.is_empty] == [b - p]
 
     def test_closed_boxes_sharing_a_face(self, schema):
+        # both weigh 2, so the face gets the plain average and their summed mass
         left = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
         right = single_space(schema, ((2, 4, True, True), (0, 2, True, True)), (0.25, 0.75))
+        face = Region.from_box((2, 2, True, True), (0, 2, True, True))
         self.check(
-            left, right,
-            [(left.elements[0].region, (1.0, 0.0), 2.0),
+            left, right, face,
+            [(face, (0.625, 0.375), 4.0),
+             (Region.from_box((0, 2, True, False), (0, 2, True, True)), (1.0, 0.0), 2.0),
              (Region.from_box((2, 4, False, True), (0, 2, True, True)), (0.25, 0.75), 2.0)],
-            [(right.elements[0].region, (0.25, 0.75), 2.0),
-             (Region.from_box((0, 2, True, False), (0, 2, True, True)), (1.0, 0.0), 2.0)],
         )
 
 
@@ -310,7 +313,7 @@ class TestNaryAndStreaming:
 
     def test_leftover_face_conflicts_as_in_nary(self, schema):
         # y's first element leaves x only its closed face a0 = 2, which y's
-        # segment element meets: both have measure zero there, so they conflict
+        # segment element meets: they share points, so they conflict
         x = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
         y = DecisionSpace(schema, ("Yes", "No"), (
             elem(((0, 2, True, False), (0, 2, True, True)), (0.0, 1.0)),
@@ -334,16 +337,28 @@ class TestNaryAndStreaming:
             assert semantically_equal(xy, yx)
             assert classify(xy, (2, 2))[1] == classify(yx, (2, 2))[1] == "N"
 
-    def test_leftover_closed_face_is_no_point(self, schema):
+    def test_leftover_closed_face_is_a_conflict(self, schema):
         # C cuts A's interior away and leaves A's closed face x = 2, which D
-        # meets on its own closed face: a face of positive-measure elements
-        # is no point, so it stays with A and D adds no conflict there
+        # meets on its own closed face: A (weight 2) and D (weight 1.5)
+        # conflict there, whatever the operand order
         a = single_space(schema, ((0, 2, True, True), (0, 2, True, True)), (1.0, 0.0))
         c = single_space(schema, ((0, 2, True, False), (0, 2, True, True)), (0.5, 0.5))
         d = single_space(schema, ((2, 3, True, True), (0, 2, True, True)), (0.0, 1.0))
-        got = classify(merge_nary([a, c, d]), (2, 1))[0]
-        assert got.weights == classify(merge_nary([a, d]), (2, 1))[0].weights == (1.0, 0.0)
-        assert classify(merge_nary([d, c, a]), (2, 1))[0].weights == (0.0, 1.0)
+        for spaces in ([a, c, d], [d, c, a], [a, d]):
+            got = classify(merge_nary(spaces), (2, 1))[0]
+            assert got.weights == pytest.approx((4 / 7, 3 / 7))
+        assert semantically_equal(merge_nary([a, c, d]), merge_nary([d, c, a]))
+
+    def test_shared_face_witness_commutes(self):
+        # both hold the point 2.5, so every order averages there (weights 2.5, 1)
+        schema = AttributeSchema((("a0", 0.0, 8.0),))
+        x = single_space(schema, ((0, 2.5, True, True),), (1.0, 0.0))
+        y = single_space(schema, ((2.5, 3.5, True, False),), (0.0, 1.0))
+        for got in (merge(x, y), merge(y, x), merge_nary([x, y]), merge_nary([y, x]),
+                    merge_streaming(x, y), merge_streaming(y, x)):
+            assert classify(got, (2.5,))[0].weights == pytest.approx((5 / 7, 2 / 7))
+            assert classify(got, (2.4,))[0].weights == (1.0, 0.0)
+            assert classify(got, (2.6,))[0].weights == (0.0, 1.0)
 
     def test_first_streaming_step_is_plain_merge(self, rng, schema):
         x, y = random_space(rng, schema), random_space(rng, schema)

@@ -138,6 +138,19 @@ class TestExecute:
             folded = merge(folded, sp)
         assert semantically_equal(execute(build_chain(4), spaces), folded)
 
+    def test_deep_chain(self, rng):
+        # far deeper than the interpreter's recursion limit
+        scheme = build_chain(5000)
+        assert scheme.num_leaves == 5000
+        weights = impacts(scheme)
+        assert weights[-1] == 0.5 and weights[1] == weights[0]
+        assert sum(weights) == pytest.approx(1.0)
+        # full-domain spaces, so each model's share is its impact
+        spaces = [random_space(rng, max_elements=1) for _ in range(5000)]
+        (got,) = execute(scheme, spaces).elements
+        expected = sum(w * sp.elements[0].value.weights[0] for w, sp in zip(weights, spaces))
+        assert got.value.weights[0] == pytest.approx(expected, abs=1e-9)
+
     def test_too_few_spaces(self, rng):
         with pytest.raises(IndexError):
             execute(build_chain(3), [random_space(rng)])
