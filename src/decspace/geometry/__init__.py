@@ -9,7 +9,6 @@ The box primitives and bulk point location live in ``kernels``.
 """
 
 import math
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import kernels as _k
@@ -167,12 +166,7 @@ class Region:
     def extent(self):
         """Per attribute, ``(lo, hi)``: the least lower and greatest upper
         bound of the boxes, without inclusivity flags."""
-        if len(self.boxes) == 1:
-            return tuple(iv[:2] for iv in self.boxes[0])
-        return tuple(
-            (min(map(itemgetter(0), ivs)), max(map(itemgetter(1), ivs)))
-            for ivs in zip(*self.boxes)
-        )
+        return _k.extent(self.boxes)
 
     def __eq__(self, other):
         """Set equality: two decompositions of one point set are equal."""

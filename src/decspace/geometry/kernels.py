@@ -12,6 +12,8 @@ A degenerate interval ``lo == hi`` is only valid when both endpoints are
 closed (a point).
 """
 
+from operator import itemgetter
+
 import numpy as np
 
 _INF = float("inf")
@@ -95,6 +97,17 @@ def box_measure(box):
     for lo, hi, _, _ in box:
         v *= hi - lo
     return v
+
+
+def extent(boxes):
+    """Per attribute, ``(lo, hi)``: the least lower and greatest upper bound
+    of the boxes, without inclusivity flags; ``()`` for no boxes."""
+    if len(boxes) == 1:
+        return tuple(iv[:2] for iv in boxes[0])
+    return tuple(
+        (min(map(itemgetter(0), ivs)), max(map(itemgetter(1), ivs)))
+        for ivs in zip(*boxes)
+    )
 
 
 def _joined(below, above, k):

@@ -2,9 +2,14 @@
 streaming variants, the restriction operator, and their composites.
 
 The three merges share one overlay and differ only in how an element is
-weighed.  Conflicts are resolved by weighted averaging of the class
-distributions; the weight of an element is the mean projected extent of its
-region (its specialization), or its stored mass in the streaming merge.
+weighed.  The overlay cuts space by space: a space's elements are pairwise
+disjoint, so they cut the fragments built so far as one batch, with
+candidate pairs from one numpy extent comparison, and each output fragment
+is coalesced once, at the end.
+
+Conflicts are resolved by weighted averaging of the class distributions;
+the weight of an element is the mean projected extent of its region (its
+specialization), or its stored mass in the streaming merge.
 Elements of different spaces conflict on every point they share, a shared
 closed face or a single point included, so no point's value depends on
 operand order.  A point element's weight is 0, so on its point the other
@@ -13,10 +18,12 @@ unweighted when every weight is zero.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .geometry import Region
+from .geometry import kernels as _k
 from .model import (
     ClassDistribution,
     DecisionSpace,
@@ -132,45 +139,61 @@ def _kept(spaces):
     ]
 
 
-def _apart(a, b):
-    """Do two extents miss each other on some attribute?  Touching ends do
-    not: closed shared faces and point regions can still meet there."""
-    return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a, b))
-
-
 def _overlay(entries):
     """Cut the regions of ``(space index, element)`` entries, listed space by
     space, into disjoint fragments, each with the entries that cover it.
 
-    Each entry splits every fragment it meets into the shared part, which
-    gains the entry as a contributor, and the rest; any shared point is a
-    conflict.  The part of the entry that no earlier fragment holds becomes
-    a fragment of its own.  A fragment whose extent misses the entry's is
-    skipped untested.  Returns ``[(Region, contributor entry indices)]``.
+    The elements of one space are pairwise disjoint, so a space's entries cut
+    the earlier fragments as one batch.  Candidate (fragment, entry) pairs
+    come from one numpy extent comparison per space; touching ends count,
+    since any shared point, a closed face or a point element included, is a
+    conflict.  Each fragment emits, for its candidates in entry order, the
+    part it shares with the entry, which gains the entry as a contributor,
+    then what is left of it.  After all fragments, each entry's own remainder
+    follows in entry order.  Fragments are raw disjoint box lists while
+    cutting, and each becomes a coalesced Region once, at the end; one that
+    is never cut keeps the region it came with.  Returns
+    ``[(Region, contributor entry indices)]``.
     """
-    # (Region, its extent, contributor entry indices, bit set of their spaces)
+    # (boxes, contributor entry indices, Region of those boxes or None)
     frags = []
-    for k, (s, e) in enumerate(entries):
-        bit = 1 << s
-        ext = e.region.extent()
-        rest = e.region
+    for _, batch in groupby(range(len(entries)), key=lambda k: entries[k][0]):
+        batch = list(batch)
+        regions = [entries[j][1].region for j in batch]
+        cands = [[] for _ in frags]
+        if frags:
+            fext = np.array([_k.extent(boxes) for boxes, _, _ in frags], dtype=float)
+            eext = np.array([r.extent() for r in regions], dtype=float)
+            meet = ((fext[:, None, :, 0] <= eext[None, :, :, 1])
+                    & (eext[None, :, :, 0] <= fext[:, None, :, 1])).all(axis=2)
+            for f, j in np.argwhere(meet).tolist():
+                cands[f].append(j)
+        shared_of = [[] for _ in batch]
         nxt = []
-        for frag in frags:
-            reg, fext, contribs, spaces = frag
-            # elements of one space are pairwise disjoint, so a fragment
-            # inside one of them cannot meet another
-            if spaces & bit or _apart(fext, ext) or (shared := reg & e.region).is_empty:
+        for frag, js in zip(frags, cands):
+            boxes, contribs, _ = frag
+            for j in js:
+                shared = _k.boxes_intersect(boxes, regions[j].boxes)
+                if shared:
+                    nxt.append((shared, contribs + (batch[j],), None))
+                    shared_of[j].extend(shared)
+                    boxes = _k.boxes_subtract(boxes, shared)
+                    if not boxes:
+                        break
+            if boxes is frag[0]:
                 nxt.append(frag)
-                continue
-            rest = rest - shared
-            nxt.append((shared, shared.extent(), contribs + (k,), spaces | bit))
-            reg = reg - shared
-            if not reg.is_empty:
-                nxt.append((reg, reg.extent(), contribs, spaces))
-        if not rest.is_empty:
-            nxt.append((rest, rest.extent(), (k,), bit))
+            elif boxes:
+                nxt.append((boxes, contribs, None))
+        for j, reg in enumerate(regions):
+            if not shared_of[j]:
+                nxt.append((reg.boxes, (batch[j],), reg))
+            elif rest := _k.boxes_subtract(reg.boxes, shared_of[j]):
+                nxt.append((rest, (batch[j],), None))
         frags = nxt
-    return [(reg, contribs) for reg, _, contribs, _ in frags]
+    return [
+        (reg if reg is not None else Region(_k.coalesce(boxes), _canonical=True), contribs)
+        for boxes, contribs, reg in frags
+    ]
 
 
 @dataclass(frozen=True)

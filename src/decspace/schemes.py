@@ -52,10 +52,13 @@ def _freeze(root):
     return _fold(root, leaf, internal), leaves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class MergeScheme:
     """Tree whose leaves are model indices and whose internal nodes are
-    m-ary merge applications; every index appears exactly once."""
+    m-ary merge applications; every index appears exactly once.
+
+    Representation, equality and hashing go through ``to_json``, so like
+    every other method they work at any depth."""
 
     root: object
 
@@ -76,6 +79,17 @@ class MergeScheme:
     def to_json(self):
         # json.dumps's output, built without one recursive call per level
         return _fold(self.root, str, lambda children: f"[{', '.join(children)}]")
+
+    def __repr__(self):
+        return f"MergeScheme({self.to_json()})"
+
+    def __eq__(self, other):
+        if not isinstance(other, MergeScheme):
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    def __hash__(self):
+        return hash(self.to_json())
 
 
 def execute(scheme, spaces):

@@ -357,6 +357,19 @@ class TestImpactValidateLaws:
         assert main(["validate", "--in", str(bad)]) == 2
         assert "overlap" in capsys.readouterr().err
 
+    def test_merge_trusts_its_inputs_validate_checks_them(self, tmp_path, space_file,
+                                                           capsys):
+        doc = json.loads(Path(space_file).read_text())
+        value = doc["elements"][0]["value"]
+        value[:] = [-50.0, 150.0] + [0.0] * (len(value) - 2)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["merge", "--in", str(bad), space_file,
+                     "--out", str(tmp_path / "m.json")]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--in", str(bad)]) == 2
+        assert "weight outside [0, 1]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["merge", "validate"])
     @pytest.mark.parametrize("defect", sorted(NON_FINITE))
     def test_non_finite_document_fails(self, tmp_path, space_file, capsys,

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from decspace import (
@@ -20,6 +21,8 @@ from decspace import (
     validate,
 )
 from decspace.geometry import Region
+from decspace.laws import _random_schema
+from decspace.operators import _overlay
 from decspace.sampling import DEFAULT_SCHEMA, random_space
 
 from conftest import check_merge_against_oracle
@@ -142,6 +145,53 @@ class TestTouchingExtents:
              (Region.from_box((0, 2, True, False), (0, 2, True, True)), (1.0, 0.0), 2.0),
              (Region.from_box((2, 4, False, True), (0, 2, True, True)), (0.25, 0.75), 2.0)],
         )
+
+
+class TestOverlay:
+    """``_overlay`` against its definition: disjoint fragments that cover
+    exactly the entries' union, each covered by exactly its contributors."""
+
+    @staticmethod
+    def entries(spaces):
+        return [(s, e) for s, sp in enumerate(spaces) for e in sp.elements]
+
+    @pytest.mark.parametrize("coverage", [1.0, 0.7])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_oracle_on_random_spaces(self, seed, coverage):
+        rng = np.random.default_rng(seed)
+        schema = _random_schema(rng)
+        entries = self.entries(
+            [random_space(rng, schema, max_elements=6, coverage=coverage) for _ in range(3)]
+        )
+        frags = _overlay(entries)
+        for i, (a, _) in enumerate(frags):
+            for b, _ in frags[i + 1:]:
+                assert (a & b).is_empty
+        union = Region.empty()
+        for reg, _ in frags:
+            union = union | reg
+        covered = Region.empty()
+        for _, e in entries:
+            covered = covered | e.region
+        assert union == covered
+        for reg, contribs in frags:
+            for b in reg.boxes:
+                centre = [(lo + hi) / 2 for lo, hi, _, _ in b]
+                covering = [k for k, (_, e) in enumerate(entries) if e.region.contains(centre)]
+                assert covering == list(contribs)
+
+    def test_one_fragment_cut_by_two_entries_of_a_later_space(self, schema):
+        # x's fragment gives shared_1, shared_2, then its remainder; y's own
+        # remainders follow, and an extent that only touches x's is no cut
+        half_open = (0, 1, True, False)
+        x = single_space(schema, ((0, 4, True, False), (0, 8, True, True)), (1.0, 0.0))
+        a = elem(((0, 1, True, False), half_open), (0.0, 1.0))
+        b = elem(((2, 3, True, False), half_open), (0.5, 0.5))
+        c = elem(((4, 8, True, True), (0, 8, True, True)), (0.2, 0.8))
+        y = DecisionSpace(schema, ("Yes", "No"), (a, b, c))
+        got = _overlay(self.entries([x, y]))
+        rest = x.elements[0].region - a.region - b.region
+        assert got == [(a.region, (0, 1)), (b.region, (0, 2)), (rest, (0,)), (c.region, (3,))]
 
 
 class TestCombineValues:

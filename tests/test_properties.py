@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from decspace import ClassDistribution, combine_values, merge, semantically_equal
 from decspace.geometry import Interval, Region, kernels
+from decspace.laws import _random_schema
 from decspace.sampling import random_space
 
 import numpy as np
@@ -103,9 +104,11 @@ class TestDistributionProperties:
 
 
 class TestMergeRandomized:
-    @given(st.integers(0, 2 ** 31 - 1))
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from((1.0, 0.7)))
     @settings(max_examples=25, deadline=None)
-    def test_commutative_on_random_spaces(self, seed):
+    def test_commutative_on_random_spaces(self, seed, coverage):
+        # 1-4 attributes; partial coverage drops tiles and adds a point element
         rng = np.random.default_rng(seed)
-        x, y = random_space(rng), random_space(rng)
+        schema = _random_schema(rng)
+        x, y = (random_space(rng, schema, coverage=coverage) for _ in range(2))
         assert semantically_equal(merge(x, y), merge(y, x))

@@ -151,6 +151,15 @@ class TestExecute:
         expected = sum(w * sp.elements[0].value.weights[0] for w, sp in zip(weights, spaces))
         assert got.value.weights[0] == pytest.approx(expected, abs=1e-9)
 
+    def test_deep_chain_repr_eq_hash(self):
+        a, b = build_chain(5000), build_chain(5000)
+        assert a == b and hash(a) == hash(b)
+        assert a != build_chain(4999)
+        assert repr(a) == f"MergeScheme({a.to_json()})"
+        assert repr(build_chain(3)) == "MergeScheme([[0, 1], 2])"
+        assert MergeScheme([[0, 1], 2]) == MergeScheme(((0, 1), 2))
+        assert len({a, b, build_chain(3)}) == 2
+
     def test_too_few_spaces(self, rng):
         with pytest.raises(IndexError):
             execute(build_chain(3), [random_space(rng)])
