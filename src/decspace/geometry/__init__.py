@@ -5,7 +5,7 @@ carry endpoint-inclusivity flags, so every set operation (intersection,
 difference, union) is exact, including on shared faces.  Measures ignore
 inclusivity; point membership respects it.
 
-The box primitives and bulk point location live in ``kernels``.
+Box primitives, the one box cut and bulk point location live in ``kernels``.
 """
 
 import math
@@ -122,12 +122,12 @@ class Region:
 
     def subtract(self, other):
         self._check_dim(other)
-        return Region(_k.coalesce(_k.boxes_subtract(self.boxes, other.boxes)),
+        return Region(_k.coalesce(_k.boxes_cut(self.boxes, other.boxes)[1]),
                       _canonical=True)
 
     def union(self, other):
         self._check_dim(other)
-        extra = _k.boxes_subtract(other.boxes, self.boxes)
+        extra = _k.boxes_cut(other.boxes, self.boxes)[1]
         return Region(_k.coalesce(list(self.boxes) + extra), _canonical=True)
 
     __and__ = intersect
@@ -140,7 +140,8 @@ class Region:
         return _k.locate(self.boxes, range(len(self.boxes)), [pt])[0] >= 0
 
     def issubset(self, other):
-        return self.subtract(other).is_empty
+        self._check_dim(other)
+        return not _k.boxes_cut(self.boxes, other.boxes)[1]
 
     def measure(self):
         return sum(_k.box_measure(b) for b in self.boxes)

@@ -2,10 +2,11 @@
 
 The set primitives operate on plain tuples: an interval is
 ``(lo, hi, lo_closed, hi_closed)`` and a box is a tuple of intervals (one
-per attribute).  Coalescing joins adjacent boxes in one pass, finding each
-box's partners by dictionary lookup on its faces.  Point location works in
-bulk on an ``(n, m)`` array of points, testing each chunk of points against
-all boxes at once with numpy.
+per attribute).  Every split of one box set by another is one cut,
+``boxes_cut``, which returns the shared part and the rest together.
+Coalescing joins adjacent boxes in one pass, finding each box's partners by
+dictionary lookup on its faces.  Point location tests each chunk of an
+``(n, m)`` point array against all boxes at once with numpy.
 
 Empty intervals are represented by ``None`` return values, never by tuples.
 A degenerate interval ``lo == hi`` is only valid when both endpoints are
@@ -73,23 +74,19 @@ def box_intersect(a, b):
     return tuple(out)
 
 
-def box_subtract(a, b):
-    """Difference of two boxes as a list of pairwise-disjoint boxes.
-
-    Axis-sweep peel: per dimension the parts of ``a`` below and above ``b``
-    are split off, then the core is narrowed to the intersection.  Yields at
-    most two boxes per dimension.
-    """
+def box_cut(a, b):
+    """``(a & b or None, disjoint pieces of a - b)`` by an axis-sweep peel:
+    per dimension the parts of ``a`` below and above ``b`` are split off,
+    then the core is narrowed to the intersection; at most two pieces per
+    dimension."""
     inter = box_intersect(a, b)
     if inter is None:
-        return [a]
+        return None, [a]
     pieces = []
-    core = list(a)
     for k in range(len(a)):
-        for part in itv_subtract(core[k], b[k]):
-            pieces.append(tuple(core[:k]) + (part,) + tuple(a[k + 1:]))
-        core[k] = inter[k]
-    return pieces
+        for part in itv_subtract(a[k], b[k]):
+            pieces.append(inter[:k] + (part,) + a[k + 1:])
+    return inter, pieces
 
 
 def box_measure(box):
@@ -187,17 +184,26 @@ def boxes_intersect(boxes_a, boxes_b):
     return out
 
 
-def boxes_subtract(boxes_a, boxes_b):
-    """Set difference between two disjoint box sets."""
-    pieces = list(boxes_a)
-    for b in boxes_b:
-        nxt = []
-        for p in pieces:
-            nxt.extend(box_subtract(p, b))
-        pieces = nxt
-        if not pieces:
-            break
-    return pieces
+def boxes_cut(A, B):
+    """``(shared, rest)``: the parts of A's boxes inside and outside the
+    union of B, in A's order.  Each box of A is peeled by B's boxes in turn,
+    each cutting only what the earlier ones left, so for a disjoint A the
+    parts are pairwise disjoint even when B overlaps itself."""
+    shared, rest = [], []
+    for a in A:
+        pieces = [a]
+        for b in B:
+            nxt = []
+            for p in pieces:
+                inter, out = box_cut(p, b)
+                if inter is not None:
+                    shared.append(inter)
+                nxt.extend(out)
+            pieces = nxt
+            if not pieces:
+                break
+        rest.extend(pieces)
+    return shared, rest
 
 
 def locate(boxes, owners, points):

@@ -163,10 +163,11 @@ class DecisionSpace:
         return cls(schema, class_labels, ())
 
     def covered_region(self):
-        cov = Region.empty()
+        """The union of the element regions (which may overlap), coalesced once."""
+        boxes = []
         for e in self.elements:
-            cov = cov | e.region
-        return cov
+            boxes += _k.boxes_cut(e.region.boxes, boxes)[1]
+        return Region(_k.coalesce(boxes), _canonical=True)
 
     def with_labels(self, labels):
         """Extend every element's distribution onto a target label tuple."""
@@ -378,7 +379,9 @@ def space_from_json(doc):
                 if name not in bd:
                     raise ValueError(f"box missing attribute {name!r}")
                 lo, hi, lc, hc = bd[name]
-                box.append((float(lo), float(hi), bool(lc), bool(hc)))
+                if not (isinstance(lc, bool) and isinstance(hc, bool)):
+                    raise ValueError(f"flags of {name!r} must be true or false: {lc!r}, {hc!r}")
+                box.append((float(lo), float(hi), lc, hc))
             boxes.append(tuple(box))
         weights = [float(p) / 100.0 for p in ed["value"]]
         total = sum(weights)

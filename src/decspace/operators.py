@@ -1,10 +1,11 @@
 """The algebra core: conflict-resolving merge, its m-ary and bias-free
 streaming variants, the restriction operator, and their composites.
 
-The three merges share one overlay and differ only in how an element is
-weighed.  The overlay cuts space by space: a space's elements are pairwise
-disjoint, so they cut the fragments built so far as one batch, with
-candidate pairs from one numpy extent comparison, and each output fragment
+Every split goes through one kernel, ``boxes_cut`` (shared part and rest
+in one pass).  The three merges share one overlay and differ only in how
+an element is weighed.  The overlay cuts space by space: a space's
+elements cut the fragments built so far as one batch, one cut per
+candidate pair from one numpy extent comparison, and each output fragment
 is coalesced once, at the end.
 
 Conflicts are resolved by weighted averaging of the class distributions;
@@ -53,32 +54,23 @@ def subsumes(x, y):
     return y.region.issubset(x.region)
 
 
-def _projections(region):
-    """Per attribute, the extent ``(lo, hi)`` of the region's projection and
-    the projection itself as a 1-D Region."""
-    out = []
-    for k, (lo, hi) in enumerate(region.extent()):
-        proj = Region.empty()
-        for b in region.boxes:
-            proj = proj | Region(((b[k],),), _canonical=True)
-        out.append((lo, hi, proj))
-    return out
-
-
-def _strictly_inside(py, px):
-    """Is every projection in ``py`` a subset of the one in ``px``, strictly
-    inside both of its extremes?"""
-    for (ylo, yhi, y), (xlo, xhi, x) in zip(py, px):
-        if not (xlo < ylo and yhi < xhi and y.issubset(x)):
-            return False
-    return True
+def _strictly_inside(y, x):
+    """Is region y's projection on every attribute, its boxes' (possibly
+    overlapping) intervals, inside x's and strictly inside its extremes?"""
+    ext = list(zip(y.extent(), x.extent()))
+    if not all(xlo < ylo and yhi < xhi for (ylo, yhi), (xlo, xhi) in ext):
+        return False
+    return not any(
+        _k.boxes_cut([(b[k],) for b in y.boxes], [(b[k],) for b in x.boxes])[1]
+        for k in range(len(ext))
+    )
 
 
 def strictly_subsumes(x, y):
     """True iff x strictly subsumes y: on every attribute, y's projection is
     a proper subset of x's, strictly inside both extremes (a projection that
     reaches either end of x's extent is only ordinary containment)."""
-    return _strictly_inside(_projections(y.region), _projections(x.region))
+    return _strictly_inside(y.region, x.region)
 
 
 def combine_values(values, masses):
@@ -110,8 +102,7 @@ def _kept(spaces):
 
     Candidate pairs come from the extents in bulk: x can strictly subsume y
     only if x's extent is strictly outside y's on every attribute.  Only
-    candidates with equal values have their projections built, once per
-    element."""
+    candidates with equal values have their projections compared."""
     entries = [(s, e) for s, sp in enumerate(spaces) for e in sp.elements]
     ext = np.array([e.region.extent() for _, e in entries], dtype=float)
     lo, hi = ext.reshape(len(entries), len(spaces[0].schema), 2).transpose(2, 0, 1)
@@ -122,18 +113,11 @@ def _kept(spaces):
     candidates = [[] for _ in entries]
     for y, x in np.argwhere(outside).tolist():
         candidates[y].append(x)
-    proj = {}
-
-    def projections(k):
-        if k not in proj:
-            proj[k] = _projections(entries[k][1].region)
-        return proj[k]
-
     return [
         (s, e) for y, (s, e) in enumerate(entries)
         if not any(
             e.value.close_to(entries[x][1].value)
-            and _strictly_inside(projections(y), projections(x))
+            and _strictly_inside(e.region, entries[x][1].region)
             for x in candidates[y]
         )
     ]
@@ -173,11 +157,11 @@ def _overlay(entries):
         for frag, js in zip(frags, cands):
             boxes, contribs, _ = frag
             for j in js:
-                shared = _k.boxes_intersect(boxes, regions[j].boxes)
+                shared, rest = _k.boxes_cut(boxes, regions[j].boxes)
                 if shared:
                     nxt.append((shared, contribs + (batch[j],), None))
                     shared_of[j].extend(shared)
-                    boxes = _k.boxes_subtract(boxes, shared)
+                    boxes = rest
                     if not boxes:
                         break
             if boxes is frag[0]:
@@ -187,7 +171,7 @@ def _overlay(entries):
         for j, reg in enumerate(regions):
             if not shared_of[j]:
                 nxt.append((reg.boxes, (batch[j],), reg))
-            elif rest := _k.boxes_subtract(reg.boxes, shared_of[j]):
+            elif rest := _k.boxes_cut(reg.boxes, shared_of[j])[1]:
                 nxt.append((rest, (batch[j],), None))
         frags = nxt
     return [
@@ -288,19 +272,20 @@ def merge_nary(spaces):
 def restrict(x_space, y_space):
     """Trim a space to the footprint of another; values and masses are kept.
 
-    Elements of the first space that do not intersect the second space's
-    footprint are dropped.
+    Each element is cut once by the footprint, the flat (possibly
+    overlapping) box list of the second space's elements: kept verbatim if
+    inside it, dropped if it misses it, else trimmed to its coalesced part.
     """
     _check_pair(x_space, y_space)
-    footprint = y_space.covered_region()
+    footprint = [b for e in y_space.elements for b in e.region.boxes]
     out = []
     for x in x_space.elements:
-        if (x.region - footprint).is_empty:
-            out.append(x)  # fully retained: keep the decomposition verbatim
-            continue
-        shared = x.region & footprint
-        if not shared.is_empty:
-            out.append(Element(shared, x.value, x.mass))
+        shared, rest = _k.boxes_cut(x.region.boxes, footprint)
+        if not rest:
+            out.append(x)
+        elif shared:
+            out.append(Element(Region(_k.coalesce(shared), _canonical=True),
+                               x.value, x.mass))
     return DecisionSpace(x_space.schema, x_space.class_labels, tuple(out))
 
 

@@ -167,18 +167,26 @@ def random_tree(rng, schema, labels, max_depth):
 
 # -- cell-wise merge oracle --------------------------------------------------
 
+def inside(boxes, pts):
+    """Per row of the point array, whether some box contains it; membership
+    is tested interval by interval against the inclusivity flags."""
+    hit = np.zeros(len(pts), dtype=bool)
+    for b in boxes:
+        ins = np.ones(len(pts), dtype=bool)
+        for x, (lo, hi, lc, hc) in zip(pts.T, b):
+            ins &= (lo < x) | (lc & (x == lo))
+            ins &= (x < hi) | (hc & (x == hi))
+        hit |= ins
+    return hit
+
+
 def _covering_elements(space, pts):
     """Per row of the point array, the first element whose region contains
-    it, or None; membership is tested interval by interval."""
+    it, or None."""
     hits = [None] * len(pts)
     for e in reversed(space.elements):
-        for b in e.region.boxes:
-            inside = np.ones(len(pts), dtype=bool)
-            for x, (lo, hi, lc, hc) in zip(pts.T, b):
-                inside &= (lo < x) | (lc & (x == lo))
-                inside &= (x < hi) | (hc & (x == hi))
-            for i in np.flatnonzero(inside):
-                hits[i] = e
+        for i in np.flatnonzero(inside(e.region.boxes, pts)):
+            hits[i] = e
     return hits
 
 

@@ -470,6 +470,10 @@ MALFORMED = [
      [*CONVERT_RULES, "--classes", "X"], 1, "'A'"),
     ("scheme-nested-too-deep", "scheme.json", "[" * 100_000 + "0" + "]" * 100_000,
      ["impact", "--scheme", "{file}"], 1, "{file}"),
+    ("space-flag-not-a-boolean", "space.json", json.dumps({
+        "schema": [{"name": "x", "min": 0, "max": 4}], "classes": ["A"],
+        "elements": [{"boxes": [{"x": [0, 2, "false", "false"]}], "value": [100], "mass": 2}],
+    }), ["validate", "--in", "{file}"], 1, "{file}"),
     ("overlapping-rules", "rules.txt", "IF age < 4 THEN A\nIF age < 5 THEN B\n",
      CONVERT_RULES, 2, "overlap"),
 ]

@@ -5,7 +5,7 @@ import pytest
 
 from decspace.geometry import Interval, Region, box, kernels
 
-from conftest import join, raster, sample_axes
+from conftest import inside, join, raster, sample_axes
 
 
 def half_open(lo, hi):
@@ -315,3 +315,34 @@ class TestCoalesce:
         assert kernels.coalesce([a, d, b, c]) == [
             ((0.0, 3.0, True, False), (0.0, 1.0, True, False)), d,
         ]
+
+
+class TestBoxesCut:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_random_sets_with_overlapping_cutter(self, rng, m):
+        # a 4-D probe grid has ~10^5-10^6 points, so fewer 4-D draws
+        for _ in range(40 if m < 4 else 15):
+            a = _random_disjoint_boxes(rng, m)
+            # boxes of two independent partitions, one repeated: b overlaps itself
+            b = _random_disjoint_boxes(rng, m)[:3] + _random_disjoint_boxes(rng, m)[:3]
+            b.append(b[0])
+            shared, rest = kernels.boxes_cut(a, b)
+            for p, q in itertools.combinations(shared + rest, 2):
+                assert kernels.box_intersect(p, q) is None
+            regions = [Region((x,), _canonical=True) for x in a + b + shared + rest]
+            pts = np.array(list(itertools.product(*sample_axes(*regions))))
+            in_a, in_b = inside(a, pts), inside(b, pts)
+            assert np.array_equal(inside(shared, pts), in_a & in_b)
+            assert np.array_equal(inside(rest, pts), in_a & ~in_b)
+
+    def test_box_cut_returns_intersection_and_peel(self):
+        a = (closed(0.0, 4.0), closed(0.0, 4.0))
+        b = (half_open(1.0, 2.0), closed(3.0, 6.0))
+        inter, pieces = kernels.box_cut(a, b)
+        assert inter == (half_open(1.0, 2.0), closed(3.0, 4.0))
+        assert pieces == [
+            ((0.0, 1.0, True, False), closed(0.0, 4.0)),
+            (closed(2.0, 4.0), closed(0.0, 4.0)),
+            (half_open(1.0, 2.0), half_open(0.0, 3.0)),
+        ]
+        assert kernels.box_cut(a, (closed(5.0, 6.0), closed(0.0, 1.0))) == (None, [a])

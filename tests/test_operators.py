@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from decspace.laws import _random_schema
 from decspace.operators import _overlay
 from decspace.sampling import DEFAULT_SCHEMA, random_space
 
-from conftest import check_merge_against_oracle
+from conftest import check_merge_against_oracle, inside, sample_axes
 
 
 def elem(box_spec, weights, labels=("Yes", "No")):
@@ -59,6 +61,39 @@ class TestSubsumption:
         x = elem(((0, 4, True, False), (0, 4, True, False)), (1.0, 0.0))
         assert subsumes(x, y)
         assert not strictly_subsumes(x, y)  # equal lower endpoint on attr 0
+
+    # x's projection on attribute 0 has a gap, [0,2] u [4,6], or an open-face
+    # hole at 3, [0,3) u (3,6]; on attribute 1 it is [0,6].  y is strictly
+    # subsumed only if its projection avoids the gap or hole.
+    GAP = [((0, 2, True, True), (0, 6, True, True)), ((4, 6, True, True), (0, 6, True, True))]
+    HOLE = [((0, 3, True, False), (0, 6, True, True)), ((3, 6, False, True), (0, 6, True, True))]
+    STRICT_TABLE = [
+        ("gap-spanned", GAP, [(1, 5, True, True)], False),
+        ("gap-edge-to-edge", GAP, [(2, 4, True, True)], False),
+        ("gap-left-part", GAP, [(0.5, 1.5, True, True)], True),
+        ("gap-right-part", GAP, [(4.5, 5.5, True, True)], True),
+        ("gap-both-parts", GAP, [(0.5, 1, True, True), (5, 5.5, True, True)], True),
+        ("gap-at-extreme", GAP, [(0, 1, True, True)], False),
+        ("gap-point-inside", GAP, [(1, 1, True, True)], True),
+        ("gap-point-in-gap", GAP, [(3, 3, True, True)], False),
+        ("hole-spanned", HOLE, [(2, 4, True, True)], False),
+        ("hole-left-part", HOLE, [(1, 2, True, True)], True),
+        ("hole-open-up-to-hole", HOLE, [(2, 3, True, False)], True),
+        ("hole-closed-at-hole", HOLE, [(2, 3, True, True)], False),
+        ("hole-open-from-hole", HOLE, [(3, 4, False, True)], True),
+        ("hole-point-in-hole", HOLE, [(3, 3, True, True)], False),
+        ("hole-point-inside", HOLE, [(4, 4, True, True)], True),
+    ]
+
+    @pytest.mark.parametrize("x_boxes, y_attr0, expected",
+                             [case[1:] for case in STRICT_TABLE],
+                             ids=[case[0] for case in STRICT_TABLE])
+    def test_projection_gaps_and_holes(self, x_boxes, y_attr0, expected):
+        value = ClassDistribution(("Yes", "No"), (1.0, 0.0))
+        x = Element(Region(x_boxes), value)
+        y_attr1 = (1, 1, True, True) if y_attr0[0][0] == y_attr0[0][1] else (1, 2, True, True)
+        y = Element(Region([(iv, y_attr1) for iv in y_attr0]), value)
+        assert strictly_subsumes(x, y) is expected
 
 
 class TestIntersectWithSpace:
@@ -443,6 +478,30 @@ class TestRestrict:
         x = single_space(schema, ((0, 2, True, False), (0, 2, True, False)), (1.0, 0.0))
         y = single_space(schema, ((4, 6, True, False), (4, 6, True, False)), (1.0, 0.0))
         assert restrict(x, y).elements == ()
+
+    def test_matches_raster_oracle(self, rng):
+        for t in range(60):
+            schema = _random_schema(rng)
+            x = random_space(rng, schema, max_elements=6, coverage=0.7)
+            y = random_space(rng, schema, max_elements=6, coverage=0.7)
+            if t % 3 == 0:  # restrict trusts its input: y's elements may overlap
+                extra = random_space(rng, schema, max_elements=6, coverage=0.7)
+                y = DecisionSpace(schema, y.class_labels, y.elements + extra.elements)
+            out = restrict(x, y)
+            regions = [e.region for e in x.elements + y.elements + out.elements]
+            pts = np.array(list(itertools.product(*sample_axes(*regions))))
+            footprint = inside([b for e in y.elements for b in e.region.boxes], pts)
+            got = iter(out.elements)
+            for e in x.elements:
+                mine = inside(e.region.boxes, pts)
+                if not (mine & footprint).any():
+                    continue  # dropped exactly when nothing is shared
+                r = next(got)
+                assert np.array_equal(inside(r.region.boxes, pts), mine & footprint)
+                assert r.value == e.value and r.mass == e.mass
+                if not (mine & ~footprint).any():
+                    assert r.region.boxes == e.region.boxes
+            assert next(got, None) is None
 
     def test_associative(self, rng, schema):
         for _ in range(10):
