@@ -16,7 +16,6 @@ import contextlib
 import json
 import math
 import sys
-from itertools import chain
 from operator import methodcaller
 
 import numpy as np
@@ -33,7 +32,7 @@ from .laws import report as law_report
 from .laws import run_all as run_laws
 from .model import (
     AttributeSchema,
-    classify_many,
+    covering_elements,
     space_from_json,
     space_to_json,
     validate,
@@ -208,29 +207,34 @@ def _parse_instance(text, dim):
 def _parse_instances(rows, dim):
     """The instance rows as one ``(len(rows), dim)`` array, parsed in bulk.
 
-    When a row is bad, the error is the one ``_parse_instance`` gives for
-    the first bad row in file order, whatever makes it bad.
+    Converting a list of strings to a float array applies Python's
+    ``float`` to each, as ``_parse_instance`` does.  When a row is bad, the
+    error is the one ``_parse_instance`` gives for the first bad row in file
+    order, whatever makes it bad.
     """
     if set(map(methodcaller("count", ","), rows)) <= {dim - 1}:
-        fields = chain.from_iterable(map(methodcaller("split", ","), rows))
+        fields = ",".join(rows).split(",") if rows else []
         with contextlib.suppress(ValueError):
-            points = np.fromiter(map(float, fields), float,
-                                 len(rows) * dim).reshape(len(rows), dim)
+            points = np.array(fields, dtype=float).reshape(len(rows), dim)
             if np.isfinite(points).all():
                 return points
     # some row is bad: parsing row by row raises for the first one
     return np.array([_parse_instance(row, dim) for row in rows])
 
 
-def _outcome_tail(outcome):
-    """The part of an output line after the coordinates."""
-    if outcome is None:
+def _outcome_tail(value):
+    """The part of an output line after the coordinates, for an element's
+    distribution or, for an uncovered instance, None."""
+    if value is None:
         return "\tuncovered\n"
-    dist, label = outcome
     rendered = ", ".join(
-        f"{l}={p:.6f}%" for l, p in zip(dist.labels, dist.as_percentages())
+        f"{l}={p:.6f}%" for l, p in zip(value.labels, value.as_percentages())
     )
-    return f"\t{label}\t{rendered}\n"
+    return f"\t{value.predicted_label()}\t{rendered}\n"
+
+
+# rows written per formatting call, which bounds the temporary objects
+_CLASSIFY_ROWS = 1 << 12
 
 
 def cmd_classify(args):
@@ -244,16 +248,18 @@ def cmd_classify(args):
         ]
     points = _parse_instances(rows, dim)
     del rows  # else the row strings stay alive through the output
-    outcomes = classify_many(space, points)
-    # classify_many shares one outcome object per element: render each once
-    distinct = {id(o): o for o in outcomes}
-    tails = {key: _outcome_tail(o) for key, o in distinct.items()}
+    hits = covering_elements(space, points)
+    # one tail per element; the last one, for index -1, is "uncovered"
+    tails = np.array([_outcome_tail(e.value) for e in space.elements]
+                     + [_outcome_tail(None)], dtype=object)
     # "%g" renders a float as f"{v:g}" does
-    coords = ",".join(["%g"] * dim)
-    sys.stdout.writelines(
-        coords % pt + tails[id(o)]
-        for pt, o in zip(map(tuple, points.tolist()), outcomes)
-    )
+    line = ",".join(["%g"] * dim) + "%s"
+    table = np.empty((min(len(points), _CLASSIFY_ROWS), dim + 1), dtype=object)
+    for start in range(0, len(points), _CLASSIFY_ROWS):
+        chunk = table[:len(points) - start]
+        chunk[:, :dim] = points[start:start + _CLASSIFY_ROWS]
+        chunk[:, dim] = tails[hits[start:start + _CLASSIFY_ROWS]]
+        sys.stdout.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
     return EXIT_OK
 
 

@@ -5,8 +5,11 @@ The set primitives operate on plain tuples: an interval is
 per attribute).  Every split of one box set by another is one cut,
 ``boxes_cut``, which returns the shared part and the rest together.
 Coalescing joins adjacent boxes in one pass, finding each box's partners by
-dictionary lookup on its faces.  Point location tests each chunk of an
-``(n, m)`` point array against all boxes at once with numpy.
+dictionary lookup on its faces.  Point location works on an ``(n, m)``
+point array with numpy: a small call tests every point against every box,
+and a larger one is a slab index (Dobkin and Lipton, 1976).  Attribute 0 is
+cut at every box end, so each box spans whole slabs, and each point is
+tested only against the boxes spanning its slab.
 
 Empty intervals are represented by ``None`` return values, never by tuples.
 A degenerate interval ``lo == hi`` is only valid when both endpoints are
@@ -206,6 +209,19 @@ def boxes_cut(A, B):
     return shared, rest
 
 
+def _first_inside(points, lo, hi):
+    """Per row of ``points``, the index of the first box containing it, or
+    the box count where none does.  ``lo`` and ``hi`` hold closed bounds,
+    one row per coordinate column of ``points`` and one column per box."""
+    # a last column that every point hits stands for "no box"
+    hit = np.ones((len(points), lo.shape[1] + 1), dtype=bool)
+    inside = hit[:, :-1]
+    for k, coords in enumerate(points.T):
+        inside &= coords[:, None] >= lo[k]
+        inside &= coords[:, None] <= hi[k]
+    return hit.argmax(axis=1)
+
+
 def locate(boxes, owners, points):
     """Owner index of the first box containing each row of ``points`` (an
     ``(n, m)`` array-like), or -1 where no box contains it, as an array.
@@ -213,24 +229,58 @@ def locate(boxes, owners, points):
     An open bound ``lo`` admits exactly the floats ``>= nextafter(lo, inf)``,
     so each face is one comparison that respects its inclusivity flag.  NaN
     coordinates compare false and are never contained.
+
+    A call whose points times boxes fit in ``_CHUNK_PAIRS`` tests every
+    point against every box at once.  A larger one is a slab index on
+    attribute 0: it is cut at each box's lower end and just above its upper
+    end, so each box spans whole slabs and, within a slab it spans, contains
+    every point on attribute 0.  The points are grouped by slab, and each
+    group is tested on the other attributes against only the boxes spanning
+    its slab, in box order, in chunks of at most ``_CHUNK_PAIRS`` pairs.
     """
     points = np.asarray(points, dtype=float)
-    if not boxes:
-        return np.full(len(points), -1, dtype=np.intp)
+    n = len(points)
+    if not boxes or not n:
+        return np.full(n, -1, dtype=np.intp)
     bounds = np.array(boxes, dtype=float)  # (boxes, m, 4)
     ends = bounds[..., :2]
     ends = np.where(bounds[..., 2:] != 0, ends, np.nextafter(ends, (_INF, -_INF)))
     lo, hi = ends.T  # each (m, boxes)
-    # a last column that every point hits maps uncovered points to -1
     owners = np.array([*owners, -1], dtype=np.intp)
-    out = np.empty(len(points), dtype=np.intp)
-    step = max(1, _CHUNK_PAIRS // len(boxes))
-    for start in range(0, len(points), step):
-        chunk = points[start:start + step]
-        hit = np.ones((len(chunk), len(owners)), dtype=bool)
-        inside = hit[:, :-1]
-        for k, coords in enumerate(chunk.T):
-            inside &= coords[:, None] >= lo[k]
-            inside &= coords[:, None] <= hi[k]
-        out[start:start + step] = owners[hit.argmax(axis=1)]
+    if n * len(boxes) <= _CHUNK_PAIRS:
+        return owners[_first_inside(points, lo, hi)]
+    # box b spans slabs first[b] to end[b] - 1; slab i is [cuts[i], cuts[i + 1])
+    cuts = np.sort(np.concatenate((lo[0], np.nextafter(hi[0], _INF))))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    first = np.searchsorted(cuts, lo[0])
+    # written so that a box with a NaN bound spans no slab
+    end = np.where(lo[0] <= hi[0], np.searchsorted(cuts, hi[0], "right"), 0)
+    x = points[:, 0]
+    slab = np.searchsorted(cuts, x, "right") - 1
+    # NaN sorts after every cut, into the last slab, which a box whose upper
+    # end is inf spans
+    slab[np.isnan(x)] = -1
+    # a stable sort of 16-bit keys is a radix sort
+    order = np.argsort(slab.astype(np.int16) if len(cuts) < 1 << 15 else slab,
+                       kind="stable")
+    # the points of slab i are rows starting[i]:starting[i + 1] of the sorted
+    # ones; those outside every slab come first
+    sizes = np.bincount(slab + 1, minlength=len(cuts) + 1)
+    starting = np.cumsum(sizes)
+    rest = points[order, 1:]
+    found = np.full(n, -1, dtype=np.intp)
+    lo, hi = lo[1:], hi[1:]
+    for i in np.flatnonzero(sizes[1:]).tolist():
+        spans = np.flatnonzero((first <= i) & (i < end))
+        if not len(spans):
+            continue
+        span_owners = owners[np.append(spans, -1)]
+        span_lo, span_hi = lo[:, spans], hi[:, spans]
+        step = max(1, _CHUNK_PAIRS // len(spans))
+        for start in range(starting[i], starting[i + 1], step):
+            stop = min(start + step, starting[i + 1])
+            found[start:stop] = span_owners[
+                _first_inside(rest[start:stop], span_lo, span_hi)]
+    out = np.empty(n, dtype=np.intp)
+    out[order] = found
     return out

@@ -237,9 +237,10 @@ def overlap_violations(space):
     anywhere = ((-math.inf, math.inf),) * m
     ext = np.array([r.extent() if r.dim == m else anywhere for r in regions],
                    dtype=float).reshape(len(regions), m, 2)
-    lo, hi = ext[..., 0], ext[..., 1]
+    apart = np.zeros((len(regions), len(regions)), dtype=bool)
     # written so that a NaN bound keeps the pair a candidate
-    apart = ((lo[:, None] > hi[None]) | (lo[None] > hi[:, None])).any(axis=2)
+    for lo_k, hi_k in zip(*ext.T):
+        apart |= (lo_k[:, None] > hi_k) | (lo_k > hi_k[:, None])
     return [
         f"elements {i} and {j}: regions overlap"
         for i, j in np.argwhere(np.triu(~apart, 1)).tolist()
@@ -253,14 +254,13 @@ def classify(space, instance):
     return classify_many(space, [instance])[0]
 
 
-def classify_many(space, instances):
-    """Bulk classify; one (distribution, label) or None per instance.
+def covering_elements(space, instances):
+    """Index of the element covering each instance, or -1 where none does,
+    as an array.
 
     ``instances`` is an iterable of coordinate sequences or an ``(n, m)``
-    array, used as it is.  Every instance that an element covers gets the
-    same (distribution, label) object as the others it covers.  Raises
-    ValueError on an instance whose length differs from the schema or that
-    has a non-finite coordinate.
+    array, used as it is.  Raises ValueError on an instance whose length
+    differs from the schema or that has a non-finite coordinate.
     """
     m = len(space.schema)
     if isinstance(instances, np.ndarray):
@@ -276,7 +276,17 @@ def classify_many(space, instances):
     if not np.isfinite(points).all():
         raise ValueError("instance coordinates must be finite")
     boxes, owners = space._flat_boxes()
-    hits = _k.locate(boxes, owners, points).tolist()
+    return _k.locate(boxes, owners, points)
+
+
+def classify_many(space, instances):
+    """Bulk classify; one (distribution, label) or None per instance, as
+    ``covering_elements`` finds them.
+
+    Every instance that an element covers gets the same (distribution,
+    label) object as the others it covers.
+    """
+    hits = covering_elements(space, instances).tolist()
     outcomes = {}
     for i in set(hits) - {-1}:
         value = space.elements[i].value

@@ -105,11 +105,12 @@ def _kept(spaces):
     candidates with equal values have their projections compared."""
     entries = [(s, e) for s, sp in enumerate(spaces) for e in sp.elements]
     ext = np.array([e.region.extent() for _, e in entries], dtype=float)
-    lo, hi = ext.reshape(len(entries), len(spaces[0].schema), 2).transpose(2, 0, 1)
+    lo, hi = ext.reshape(len(entries), len(spaces[0].schema), 2).T  # each (m, n)
     space = np.array([s for s, _ in entries])
     # outside[y, x]: x is in another space, its extent strictly outside y's
-    outside = ((lo[None] < lo[:, None]) & (hi[:, None] < hi[None])).all(axis=2)
-    outside &= space[:, None] != space[None]
+    outside = space[:, None] != space
+    for lo_k, hi_k in zip(lo, hi):
+        outside &= (lo_k < lo_k[:, None]) & (hi_k[:, None] < hi_k)
     candidates = [[] for _ in entries]
     for y, x in np.argwhere(outside).tolist():
         candidates[y].append(x)
@@ -146,10 +147,11 @@ def _overlay(entries):
         regions = [entries[j][1].region for j in batch]
         cands = [[] for _ in frags]
         if frags:
-            fext = np.array([_k.extent(boxes) for boxes, _, _ in frags], dtype=float)
-            eext = np.array([r.extent() for r in regions], dtype=float)
-            meet = ((fext[:, None, :, 0] <= eext[None, :, :, 1])
-                    & (eext[None, :, :, 0] <= fext[:, None, :, 1])).all(axis=2)
+            flo, fhi = np.array([_k.extent(boxes) for boxes, _, _ in frags], dtype=float).T
+            elo, ehi = np.array([r.extent() for r in regions], dtype=float).T
+            meet = np.ones((len(frags), len(batch)), dtype=bool)
+            for k in range(len(flo)):
+                meet &= (flo[k][:, None] <= ehi[k]) & (elo[k] <= fhi[k][:, None])
             for f, j in np.argwhere(meet).tolist():
                 cands[f].append(j)
         shared_of = [[] for _ in batch]

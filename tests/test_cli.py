@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import decspace
@@ -17,7 +18,15 @@ from decspace import (
     space_from_json,
     space_to_json,
 )
-from decspace.cli import COMMANDS, build_parser, main
+from decspace import cli
+from decspace.cli import (
+    COMMANDS,
+    CliError,
+    _parse_instance,
+    _parse_instances,
+    build_parser,
+    main,
+)
 from decspace.geometry import Region
 
 from conftest import RULES_TEXT, make_overlap_pair
@@ -276,6 +285,17 @@ def reference_output(space_path, rows):
     return "".join(lines)
 
 
+# tokens the bulk parse must read as Python's float() does, value or error
+PARSE_TOKENS = [
+    "1_0", "1__0", "_1", "1_", "1e5_0", "\u0661\u0662", "\u0967\u0968\u0969",
+    "\uff11\uff12", "\u0661.\u0665", "nan(123)", "nan(ind)", "0x10", "0x1p3", "0o7",
+    "0b1", "  1.5", "1.5  ", "\t2", "1e500", "-1e500", "1.8e308", "nan", "NaN",
+    "-inf", "iNF", "infinity", "1e", "1d3", "--1", "+1", "-0", ".5", "5.",
+    "1e-400", "5e-324", "1.7976931348623157e308", "1.5e+3", "0.1", "True", "",
+    " ", "1 2", "3,4",
+]
+
+
 class TestBulkClassify:
     def test_matches_per_row_reference(self, tmp_path, mixed_space_file, capsys):
         rows = [f"{x},{y}" for x in COORDS for y in COORDS]
@@ -287,6 +307,17 @@ class TestBulkClassify:
         assert out == reference_output(mixed_space_file, rows)
         assert "uncovered" in out and "C=100.000000%" in out
         assert "A=33.333333%" in out and "B=75.000000%" in out
+
+    @pytest.mark.parametrize("rows_per_write", [1, 7])
+    def test_output_written_in_blocks(self, tmp_path, mixed_space_file, capsys,
+                                      monkeypatch, rows_per_write):
+        monkeypatch.setattr(cli, "_CLASSIFY_ROWS", rows_per_write)
+        rows = [f"{x},{y}" for x in COORDS for y in COORDS]
+        csv = tmp_path / "pts.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        assert main(["classify", "--space", mixed_space_file,
+                     "--instances", str(csv)]) == 0
+        assert capsys.readouterr().out == reference_output(mixed_space_file, rows)
 
     @pytest.mark.parametrize("v", [
         -0.0, 1e-7, 1e16, 123456789.0, 64.0, 0.1 + 0.2, 1 / 3, 5e-324,
@@ -327,6 +358,8 @@ class TestBulkClassify:
         ("1,1\ninf,1\nx,1\n", "instance 'inf,1' has a non-finite value"),
         ("1,1\n1,2,3\nnan,1\n", "instance '1,2,3' has 3 values, need 2"),
         ("1,1\nnan,1\n1\n", "instance 'nan,1' has a non-finite value"),
+        # the field total fits the row count: only the per-row count sees it
+        ("1,1\n1,2,3\n4\n", "instance '1,2,3' has 3 values, need 2"),
     ])
     def test_first_bad_row_gives_the_error(self, tmp_path, mixed_space_file,
                                            capsys, text, error):
@@ -337,6 +370,29 @@ class TestBulkClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
+
+
+    @pytest.mark.parametrize("token", PARSE_TOKENS)
+    def test_bulk_parse_matches_per_row_parse(self, tmp_path, mixed_space_file,
+                                              capsys, token):
+        # the token in both columns, between runs of good rows; "3,4" makes
+        # rows of three fields
+        rows = ["1,1"] * 40 + [f"{token},2", f"2,{token}"] + ["3,3"] * 40
+        try:
+            want = np.array([_parse_instance(row, 2) for row in rows])
+        except CliError as exc:
+            want = exc
+        csv = tmp_path / "pts.csv"
+        csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["classify", "--space", mixed_space_file, "--instances", str(csv)])
+        captured = capsys.readouterr()
+        if isinstance(want, CliError):
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: {want}\n"
+        else:
+            assert _parse_instances(rows, 2).tobytes() == want.tobytes()
+            assert code == 0 and captured.err == ""
+            assert captured.out == reference_output(mixed_space_file, rows)
 
 
 class TestImpactValidateLaws:

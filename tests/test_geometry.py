@@ -346,3 +346,120 @@ class TestBoxesCut:
             (half_open(1.0, 2.0), half_open(0.0, 3.0)),
         ]
         assert kernels.box_cut(a, (closed(5.0, 6.0), closed(0.0, 1.0))) == (None, [a])
+
+
+def _dense_locate(boxes, owners, points):
+    """Point location without an index: every point against every box, in
+    chunks.  The reference ``TestLocate`` compares ``kernels.locate`` with."""
+    points = np.asarray(points, dtype=float)
+    if not boxes:
+        return np.full(len(points), -1, dtype=np.intp)
+    bounds = np.array(boxes, dtype=float)
+    ends = bounds[..., :2]
+    ends = np.where(bounds[..., 2:] != 0, ends, np.nextafter(ends, (np.inf, -np.inf)))
+    lo, hi = ends.T
+    owners = np.array([*owners, -1], dtype=np.intp)
+    out = np.empty(len(points), dtype=np.intp)
+    step = max(1, (1 << 17) // len(boxes))
+    for start in range(0, len(points), step):
+        chunk = points[start:start + step]
+        hit = np.ones((len(chunk), len(owners)), dtype=bool)
+        inside = hit[:, :-1]
+        for k, coords in enumerate(chunk.T):
+            inside &= coords[:, None] >= lo[k]
+            inside &= coords[:, None] <= hi[k]
+        out[start:start + step] = owners[hit.argmax(axis=1)]
+    return out
+
+
+def _locate_case(rng, m, stripes):
+    """Boxes of two independent partitions of [0, 10]^m, so some overlap,
+    with point boxes among them, and probe points: every face, every cell
+    midpoint, one point beyond each end, random points, and NaN and +-inf
+    coordinates.  With ``stripes`` every box spans all of attribute 0, so
+    there is one slab."""
+    boxes = _random_disjoint_boxes(rng, m) + _random_disjoint_boxes(rng, m)
+    if rng.random() < 0.5:
+        boxes.append(tuple((c, c, True, True) for c in rng.uniform(0, 10, m).round(1)))
+    if stripes:
+        boxes = [((0.0, 10.0, True, True),) + b[1:] for b in boxes]
+    boxes = [boxes[i] for i in rng.permutation(len(boxes))]
+    regions = [Region((b,), _canonical=True) for b in boxes]
+    axes = sample_axes(*regions)
+    # at most ~2000 grid points: keep every axis short enough
+    keep = max(2, int(2000 ** (1 / m)))
+    axes = [sorted(rng.choice(ax, min(len(ax), keep), replace=False)) for ax in axes]
+    grid = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, m)
+    pts = np.concatenate([grid, rng.uniform(-1, 11, (200, m))])
+    odd = rng.random(pts.shape) < 0.02
+    pts[odd] = rng.choice([np.nan, np.inf, -np.inf], odd.sum())
+    return boxes, pts[rng.permutation(len(pts))]
+
+
+class TestLocate:
+    """``kernels.locate`` against the dense reference: the first containing
+    box wins, faces follow their flags, NaN is never inside."""
+
+    @pytest.mark.parametrize("stripes", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_dense_reference(self, rng, m, stripes, monkeypatch):
+        for trial in range(30):
+            boxes, pts = _locate_case(rng, m, stripes)
+            owners = rng.permutation(len(boxes))
+            want = _dense_locate(boxes, owners, pts)
+            # a small bound sends most calls through the slab index, with
+            # slab groups of several chunks; the default bound takes the
+            # dense pass for the small calls
+            monkeypatch.setattr(kernels, "_CHUNK_PAIRS", [1 << 17, 7, 64][trial % 3])
+            got = kernels.locate(boxes, owners, pts)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want), (boxes, pts[got != want])
+
+    def test_large_call_uses_default_bound(self, rng):
+        # points x boxes above the default bound: the slab index, unpatched
+        boxes, _ = _locate_case(rng, 2, False)
+        pts = rng.uniform(-1, 11, ((1 << 17) // len(boxes) + 1, 2))
+        pts[::97, 0] = np.nan
+        owners = range(len(boxes))
+        assert np.array_equal(kernels.locate(boxes, owners, pts),
+                              _dense_locate(boxes, owners, pts))
+
+    def test_first_box_wins(self, monkeypatch):
+        wide = (closed(0.0, 10.0), closed(0.0, 10.0))
+        narrow = (closed(2.0, 3.0), closed(2.0, 3.0))
+        pts = [(2.5, 2.5), (5.0, 5.0), (2.0, 3.0), (11.0, 1.0)]
+        for bound in (1 << 17, 1):
+            monkeypatch.setattr(kernels, "_CHUNK_PAIRS", bound)
+            assert kernels.locate([narrow, wide], [7, 8], pts).tolist() == [7, 8, 7, -1]
+            assert kernels.locate([wide, narrow], [7, 8], pts).tolist() == [7, 7, 7, -1]
+
+    def test_faces_follow_flags_on_the_slab_axis(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CHUNK_PAIRS", 1)
+        boxes = [((0.0, 1.0, False, False), closed(0.0, 1.0)),
+                 ((1.0, 2.0, True, False), closed(0.0, 1.0)),
+                 ((2.0, 2.0, True, True), closed(0.0, 1.0)),
+                 ((3.0, 4.0, False, True), closed(0.0, 1.0)),
+                 # the last slab starts at inf, and NaN stays out of it
+                 ((5.0, np.inf, True, True), closed(0.0, 1.0))]
+        xs = [0.0, 0.5, 1.0, 2.0, np.nextafter(2.0, 3.0), 3.0, 4.0, -np.inf, np.inf, np.nan]
+        got = kernels.locate(boxes, range(5), [(x, 0.5) for x in xs])
+        assert got.tolist() == [-1, 0, 1, 2, -1, -1, 3, -1, 4, -1]
+        assert got.tolist() == _dense_locate(boxes, range(5), [(x, 0.5) for x in xs]).tolist()
+
+    @pytest.mark.parametrize("bound", [1 << 17, 1])
+    def test_nan_bound_contains_nothing(self, monkeypatch, bound):
+        monkeypatch.setattr(kernels, "_CHUNK_PAIRS", bound)
+        boxes = [((1.0, np.nan, True, True), closed(0.0, 1.0)),
+                 ((np.nan, 3.0, True, True), closed(0.0, 1.0)),
+                 (closed(0.0, 4.0), closed(0.0, 1.0))]
+        pts = [(x, 0.5) for x in (0.5, 2.0, 3.0, 5.0, np.nan)]
+        assert kernels.locate(boxes, range(3), pts).tolist() == [2, 2, 2, -1, -1]
+
+    @pytest.mark.parametrize("bound", [1 << 17, 1])
+    def test_empty_inputs(self, monkeypatch, bound):
+        monkeypatch.setattr(kernels, "_CHUNK_PAIRS", bound)
+        boxes = [(closed(0.0, 1.0), closed(0.0, 1.0))]
+        for pts in ([], np.empty((0, 2))):
+            got = kernels.locate(boxes, [0], pts)
+            assert got.dtype == np.intp and got.shape == (0,)
+        assert kernels.locate([], [], [(0.5, 0.5), (2.0, 2.0)]).tolist() == [-1, -1]
