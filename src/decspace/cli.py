@@ -22,6 +22,7 @@ import numpy as np
 
 from .conversion import (
     OverlappingRulesError,
+    RuleSyntaxError,
     parse_ruleset,
     rules_to_space,
     tree_from_json,
@@ -84,8 +85,9 @@ def _read_doc(path, parse, what):
     rejects is reported as not being ``what``."""
     try:
         doc = json.loads(_read_text(path))
+    # ValueError: JSONDecodeError, or an integer past int's digit limit;
     # RecursionError: arrays or objects nested past the interpreter's limit
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return parse(doc)
@@ -152,6 +154,8 @@ def cmd_convert(args):
             if labels is None and classes:
                 labels = tuple(classes)
             space = tree_to_space(tree, schema, labels)
+    except RuleSyntaxError as exc:
+        raise CliError(f"{args.rules}: not a rule set: {exc}") from exc
     except OverlappingRulesError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)

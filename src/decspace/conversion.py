@@ -23,6 +23,7 @@ from .model import (
     ClassDistribution,
     DecisionSpace,
     Element,
+    _number,
     overlap_violations,
 )
 
@@ -112,7 +113,9 @@ def _tokenize(text, lineno):
         if text[pos:].isspace():
             break
         m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
+            # name the character, not a space before it
+            pos += len(text[pos:]) - len(text[pos:].lstrip())
             raise RuleSyntaxError(lineno, pos + 1, f"unexpected character {text[pos]!r}")
         kind = m.lastgroup
         out.append((kind, m.group(kind), m.start(kind) + 1))
@@ -350,7 +353,7 @@ def tree_from_json(doc):
             raise ValueError(f"malformed tree node: {node!r}")
         if "attr" in node:
             return DecisionTreeNode.split(
-                node["attr"], node["threshold"],
+                node["attr"], _number(node["threshold"]),
                 build(node["left"]), build(node["right"]),
             )
         if "label" in node:
@@ -358,7 +361,7 @@ def tree_from_json(doc):
         if "value" in node:
             if classes is None:
                 raise ValueError('tree with "value" leaves needs a "classes" list')
-            weights = [float(p) / 100.0 for p in node["value"]]
+            weights = [_number(p) / 100.0 for p in node["value"]]
             total = sum(weights)
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(f"leaf distribution sums to {total * 100:g}%")

@@ -7,9 +7,9 @@ per attribute).  Every split of one box set by another is one cut,
 Coalescing joins adjacent boxes in one pass, finding each box's partners by
 dictionary lookup on its faces.  Point location works on an ``(n, m)``
 point array with numpy: a small call tests every point against every box,
-and a larger one is a slab index (Dobkin and Lipton, 1976).  Attribute 0 is
-cut at every box end, so each box spans whole slabs, and each point is
-tested only against the boxes spanning its slab.
+and a larger one is a slab index (Dobkin and Lipton, 1976) in row space.
+The points are sorted on attribute 0, each box spans one range of rows,
+and each slab of rows is tested only against the boxes spanning it.
 
 Empty intervals are represented by ``None`` return values, never by tuples.
 A degenerate interval ``lo == hi`` is only valid when both endpoints are
@@ -227,16 +227,20 @@ def locate(boxes, owners, points):
     ``(n, m)`` array-like), or -1 where no box contains it, as an array.
 
     An open bound ``lo`` admits exactly the floats ``>= nextafter(lo, inf)``,
-    so each face is one comparison that respects its inclusivity flag.  NaN
-    coordinates compare false and are never contained.
+    so each face is one comparison that respects its inclusivity flag.  Only
+    open ends are moved, so no finite bound is moved past the largest float.
+    NaN coordinates compare false and are never contained.
 
     A call whose points times boxes fit in ``_CHUNK_PAIRS`` tests every
-    point against every box at once.  A larger one is a slab index on
-    attribute 0: it is cut at each box's lower end and just above its upper
-    end, so each box spans whole slabs and, within a slab it spans, contains
-    every point on attribute 0.  The points are grouped by slab, and each
-    group is tested on the other attributes against only the boxes spanning
-    its slab, in box order, in chunks of at most ``_CHUNK_PAIRS`` pairs.
+    point against every box at once; through the slab index a one-point
+    lookup (``Region.contains``, ``classify``) took twice as long.  A larger
+    call is a slab index on attribute 0.  The points are sorted on it once,
+    and each box spans the rows from the first at or above its lower end to
+    the first above its upper end, none where a bound is NaN; NaN rows sort
+    last, after every range.  A slab is the rows between two consecutive
+    distinct range ends, so each box spans a slab whole or not at all, and
+    each slab is tested on the other attributes against only the boxes
+    spanning it, in box order, in chunks of at most ``_CHUNK_PAIRS`` pairs.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -244,43 +248,32 @@ def locate(boxes, owners, points):
         return np.full(n, -1, dtype=np.intp)
     bounds = np.array(boxes, dtype=float)  # (boxes, m, 4)
     ends = bounds[..., :2]
-    ends = np.where(bounds[..., 2:] != 0, ends, np.nextafter(ends, (_INF, -_INF)))
+    np.nextafter(ends, (_INF, -_INF), out=ends, where=bounds[..., 2:] == 0)
     lo, hi = ends.T  # each (m, boxes)
     owners = np.array([*owners, -1], dtype=np.intp)
     if n * len(boxes) <= _CHUNK_PAIRS:
         return owners[_first_inside(points, lo, hi)]
-    # box b spans slabs first[b] to end[b] - 1; slab i is [cuts[i], cuts[i + 1])
-    cuts = np.sort(np.concatenate((lo[0], np.nextafter(hi[0], _INF))))
-    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
-    first = np.searchsorted(cuts, lo[0])
-    # written so that a box with a NaN bound spans no slab
-    end = np.where(lo[0] <= hi[0], np.searchsorted(cuts, hi[0], "right"), 0)
-    x = points[:, 0]
-    slab = np.searchsorted(cuts, x, "right") - 1
-    # NaN sorts after every cut, into the last slab, which a box whose upper
-    # end is inf spans
-    slab[np.isnan(x)] = -1
-    # a stable sort of 16-bit keys is a radix sort
-    order = np.argsort(slab.astype(np.int16) if len(cuts) < 1 << 15 else slab,
-                       kind="stable")
-    # the points of slab i are rows starting[i]:starting[i + 1] of the sorted
-    # ones; those outside every slab come first
-    sizes = np.bincount(slab + 1, minlength=len(cuts) + 1)
-    starting = np.cumsum(sizes)
+    order = np.argsort(points[:, 0])
+    x = points[order, 0]
+    # box b spans rows start[b]:stop[b] of the sorted points, written so
+    # that a box with a NaN bound spans none
+    start = np.searchsorted(x, lo[0])
+    stop = np.where(lo[0] <= hi[0], np.searchsorted(x, hi[0], "right"), 0)
+    cuts = np.sort(np.concatenate((start, stop)))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))].tolist()
     rest = points[order, 1:]
     found = np.full(n, -1, dtype=np.intp)
     lo, hi = lo[1:], hi[1:]
-    for i in np.flatnonzero(sizes[1:]).tolist():
-        spans = np.flatnonzero((first <= i) & (i < end))
+    for first, end in zip(cuts, cuts[1:]):
+        spans = np.flatnonzero((start <= first) & (end <= stop))
         if not len(spans):
             continue
         span_owners = owners[np.append(spans, -1)]
         span_lo, span_hi = lo[:, spans], hi[:, spans]
         step = max(1, _CHUNK_PAIRS // len(spans))
-        for start in range(starting[i], starting[i + 1], step):
-            stop = min(start + step, starting[i + 1])
-            found[start:stop] = span_owners[
-                _first_inside(rest[start:stop], span_lo, span_hi)]
+        for a in range(first, end, step):
+            b = min(a + step, end)
+            found[a:b] = span_owners[_first_inside(rest[a:b], span_lo, span_hi)]
     out = np.empty(n, dtype=np.intp)
     out[order] = found
     return out

@@ -20,6 +20,7 @@ from .model import (
     ClassDistribution,
     DecisionSpace,
     Element,
+    _number,
     classify_many,
 )
 from .conversion import Rule, RuleSet, rules_to_space
@@ -58,14 +59,14 @@ class StreamConfig:
     @classmethod
     def from_json(cls, doc):
         return cls(
-            seed=int(doc["seed"]),
-            num_learners=int(doc["num_learners"]),
-            drift_at=int(doc["drift_at"]),
-            batches=int(doc["batches"]),
-            batch_size=int(doc["batch_size"]),
+            seed=_number(doc["seed"], int),
+            num_learners=_number(doc["num_learners"], int),
+            drift_at=_number(doc["drift_at"], int),
+            batches=_number(doc["batches"], int),
+            batch_size=_number(doc["batch_size"], int),
             domain=AttributeSchema.from_json(doc["domain"]),
-            grid=int(doc.get("grid", 10)),
-            test_size=int(doc.get("test_size", 2000)),
+            grid=_number(doc.get("grid", 10), int),
+            test_size=_number(doc.get("test_size", 2000), int),
         )
 
 

@@ -18,6 +18,27 @@ SUM_TOL = 1e-9
 EQUALITY_TOL = 1e-9
 
 
+def _number(v, kind=float):
+    """``kind(v)`` for a number read from a document, raising ValueError,
+    not OverflowError, for one that ``kind`` cannot hold (a JSON integer
+    past the float range, or an infinity read as an integer)."""
+    try:
+        return kind(v)
+    except OverflowError:
+        raise ValueError(f"number out of range: {v!r:.40}") from None
+
+
+def _label(v):
+    """A class label read from a document: a string, a number, or an array
+    of them, which is read back as a tuple."""
+    parts = v if isinstance(v, list) else [v]
+    if not all(isinstance(p, (str, int, float)) and not isinstance(p, bool)
+               for p in parts):
+        raise ValueError("class label must be a string, a number or an array of them: "
+                         f"{v!r:.40}")
+    return tuple(v) if isinstance(v, list) else v
+
+
 class Attribute(NamedTuple):
     name: str
     domain_min: float
@@ -48,7 +69,7 @@ class AttributeSchema:
     def from_json(cls, items):
         """Schema from a list of ``{"name", "min", "max"}`` objects.  Raises
         KeyError, TypeError or ValueError on a malformed list."""
-        return cls(tuple((a["name"], float(a["min"]), float(a["max"]))
+        return cls(tuple((a["name"], _number(a["min"]), _number(a["max"]))
                          for a in items))
 
     def __len__(self):
@@ -378,8 +399,7 @@ def space_to_json(space):
 
 def space_from_json(doc):
     schema = AttributeSchema.from_json(doc["schema"])
-    # json holds a tuple label as an array; read it back as a tuple
-    labels = tuple(tuple(l) if isinstance(l, list) else l for l in doc["classes"])
+    labels = tuple(map(_label, doc["classes"]))
     elems = []
     for ed in doc["elements"]:
         boxes = []
@@ -391,9 +411,9 @@ def space_from_json(doc):
                 lo, hi, lc, hc = bd[name]
                 if not (isinstance(lc, bool) and isinstance(hc, bool)):
                     raise ValueError(f"flags of {name!r} must be true or false: {lc!r}, {hc!r}")
-                box.append((float(lo), float(hi), lc, hc))
+                box.append((_number(lo), _number(hi), lc, hc))
             boxes.append(tuple(box))
-        weights = [float(p) / 100.0 for p in ed["value"]]
+        weights = [_number(p) / 100.0 for p in ed["value"]]
         total = sum(weights)
         # space_to_json writes exact percentages; this renormalization lets
         # hand-written or older documents, rounded to six decimals, still
@@ -404,7 +424,7 @@ def space_from_json(doc):
             Element(
                 Region(boxes),
                 ClassDistribution(labels, weights),
-                float(ed["mass"]) if ed.get("mass") is not None else None,
+                _number(ed["mass"]) if ed.get("mass") is not None else None,
             )
         )
     return DecisionSpace(schema, labels, tuple(elems))

@@ -40,12 +40,17 @@ def _check_pair(a, b):
 
 def _aligned(spaces):
     """The spaces extended onto one label tuple: the common one when all
-    agree, else the sorted union."""
+    agree, else the sorted union, or, for labels of mixed types that do not
+    compare, the union sorted by ``repr``."""
     for sp in spaces[1:]:
         _check_pair(spaces[0], sp)
     labels = spaces[0].class_labels
     if any(sp.class_labels != labels for sp in spaces[1:]):
-        labels = tuple(sorted(set().union(*(sp.class_labels for sp in spaces))))
+        union = set().union(*(sp.class_labels for sp in spaces))
+        try:
+            labels = tuple(sorted(union))
+        except TypeError:
+            labels = tuple(sorted(union, key=repr))
     return [sp.with_labels(labels) for sp in spaces]
 
 
@@ -136,18 +141,16 @@ def _overlay(entries):
     part it shares with the entry, which gains the entry as a contributor,
     then what is left of it.  After all fragments, each entry's own remainder
     follows in entry order.  Fragments are raw disjoint box lists while
-    cutting, and each becomes a coalesced Region once, at the end; one that
-    is never cut keeps the region it came with.  Returns
+    cutting, and each becomes a coalesced Region once, at the end.  Returns
     ``[(Region, contributor entry indices)]``.
     """
-    # (boxes, contributor entry indices, Region of those boxes or None)
-    frags = []
+    frags = []  # (boxes, contributor entry indices)
     for _, batch in groupby(range(len(entries)), key=lambda k: entries[k][0]):
         batch = list(batch)
         regions = [entries[j][1].region for j in batch]
         cands = [[] for _ in frags]
         if frags:
-            flo, fhi = np.array([_k.extent(boxes) for boxes, _, _ in frags], dtype=float).T
+            flo, fhi = np.array([_k.extent(boxes) for boxes, _ in frags], dtype=float).T
             elo, ehi = np.array([r.extent() for r in regions], dtype=float).T
             meet = np.ones((len(frags), len(batch)), dtype=bool)
             for k in range(len(flo)):
@@ -156,30 +159,23 @@ def _overlay(entries):
                 cands[f].append(j)
         shared_of = [[] for _ in batch]
         nxt = []
-        for frag, js in zip(frags, cands):
-            boxes, contribs, _ = frag
+        for (boxes, contribs), js in zip(frags, cands):
             for j in js:
                 shared, rest = _k.boxes_cut(boxes, regions[j].boxes)
                 if shared:
-                    nxt.append((shared, contribs + (batch[j],), None))
+                    nxt.append((shared, contribs + (batch[j],)))
                     shared_of[j].extend(shared)
                     boxes = rest
                     if not boxes:
                         break
-            if boxes is frag[0]:
-                nxt.append(frag)
-            elif boxes:
-                nxt.append((boxes, contribs, None))
+            if boxes:
+                nxt.append((boxes, contribs))
         for j, reg in enumerate(regions):
-            if not shared_of[j]:
-                nxt.append((reg.boxes, (batch[j],), reg))
-            elif rest := _k.boxes_cut(reg.boxes, shared_of[j])[1]:
-                nxt.append((rest, (batch[j],), None))
+            if rest := _k.boxes_cut(reg.boxes, shared_of[j])[1]:
+                nxt.append((rest, (batch[j],)))
         frags = nxt
-    return [
-        (reg if reg is not None else Region(_k.coalesce(boxes), _canonical=True), contribs)
-        for boxes, contribs, reg in frags
-    ]
+    return [(Region(_k.coalesce(boxes), _canonical=True), contribs)
+            for boxes, contribs in frags]
 
 
 @dataclass(frozen=True)

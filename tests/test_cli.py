@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import decspace
 from decspace import (
@@ -174,6 +176,14 @@ class TestMergeCommand:
             lines.append(capsys.readouterr().out)
         # weights 3 and 4
         assert lines[0] == lines[1] == "4,1\tB\tA=42.857143%, B=57.142857%\n"
+
+    def test_labels_of_mixed_types(self, tmp_path, capsys):
+        # "A", -1 and "A", "B" have no common order; the union is sorted by repr
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+        a.write_text(_space(classes=["A", -1]))
+        b.write_text(_space(classes=["A", "B"]))
+        assert main(["merge", "--in", str(a), str(b), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["classes"] == ["A", "B", -1]
 
     def test_bad_scheme_count(self, space_file, capsys):
         assert main(["merge", "--in", space_file, space_file,
@@ -498,6 +508,13 @@ def _tree(**node):
     return json.dumps({"classes": ["A", "B"], "tree": node})
 
 
+def _space(classes=("A", "B"), mass=2):
+    return json.dumps({
+        "schema": [{"name": "x", "min": 0, "max": 4}], "classes": list(classes),
+        "elements": [{"boxes": [{"x": [0, 2, True, False]}], "value": [100, 0], "mass": mass}],
+    })
+
+
 # (id, bad file, its content, argv, exit code, what the error line names:
 # the bad file, or where no one file is at fault, the attribute or the overlap)
 MALFORMED = [
@@ -532,6 +549,22 @@ MALFORMED = [
     }), ["validate", "--in", "{file}"], 1, "{file}"),
     ("overlapping-rules", "rules.txt", "IF age < 4 THEN A\nIF age < 5 THEN B\n",
      CONVERT_RULES, 2, "overlap"),
+    ("rules-syntax-error", "rules.txt", "IF age < 4 THEN A\nIF age < 5 THEN B $\n",
+     CONVERT_RULES, 1, "{file}"),
+    # a JSON integer past the float range, where a document holds a number
+    ("space-mass-400-digits", "space.json", _space(mass=10 ** 400),
+     ["validate", "--in", "{file}"], 1, "{file}"),
+    # past the digit limit of Python's int, which json.loads raises on
+    ("space-mass-5000-digits", "space.json",
+     _space().replace('"mass": 2', '"mass": ' + "9" * 5000),
+     ["validate", "--in", "{file}"], 1, "{file}"),
+    ("tree-threshold-400-digits", "tree.json",
+     _tree(attr="age", threshold=10 ** 400, left={"label": "A"}, right={"label": "B"}),
+     CONVERT_TREE, 1, "{file}"),
+    ("simulate-seed-infinite", "cfg.json", json.dumps({**SIMULATE_CONFIG, "seed": float("inf")}),
+     ["simulate", "--config", "{file}", "--out", "{tmp}/acc.csv"], 1, "{file}"),
+    ("space-label-an-object", "space.json", _space(classes=["A", {"k": 1}]),
+     ["validate", "--in", "{file}"], 1, "{file}"),
 ]
 
 
@@ -559,6 +592,87 @@ class TestMalformedInput:
         assert lines[-1].startswith("error: ")
         assert sum(line.startswith("error: ") for line in lines) == 1
         assert culprit.format(**fill) in lines[-1]
+
+
+def _not_a_finite_number(text):
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+_CONTAINERS = st.one_of(
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.lists(st.one_of(st.none(), st.booleans(), st.lists(st.integers(), max_size=1),
+                       st.dictionaries(st.text(max_size=1), st.integers(), max_size=1)),
+             min_size=1, max_size=2),
+)
+# per kind of slot, values that no valid document holds there
+JUNK = {
+    "number": st.one_of(
+        st.integers(309, 400).flatmap(lambda k: st.sampled_from([10 ** k, -10 ** k])),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.text(max_size=5).filter(_not_a_finite_number),
+        _CONTAINERS,
+    ),
+    "flag": st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=3), _CONTAINERS),
+    "label": st.one_of(st.none(), st.booleans(), _CONTAINERS),
+    "name": st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _CONTAINERS),
+}
+# (path into the document, kind of slot)
+SLOTS = [
+    (("schema", 0, "name"), "name"),
+    (("schema", 0, "min"), "number"),
+    (("schema", 1, "max"), "number"),
+    (("classes", 1), "label"),
+    (("elements", 0, "boxes", 0, "x", 0), "number"),
+    (("elements", 1, "boxes", 0, "y", 1), "number"),
+    (("elements", 0, "boxes", 0, "y", 2), "flag"),
+    (("elements", 1, "boxes", 0, "x", 3), "flag"),
+    (("elements", 1, "value", 0), "number"),
+    (("elements", 0, "mass"), "number"),
+]
+JUNK_COMMANDS = [
+    ["validate", "--in", "{junk}"],
+    ["merge", "--in", "{junk}", "{good}", "--out", "{tmp}/out.json"],
+    ["restrict", "--in", "{good}", "{junk}", "--out", "{tmp}/out.json"],
+    ["classify", "--space", "{junk}", "--instance", "1,1"],
+]
+
+
+class TestJunkDocuments:
+    """One junk value in a valid space document: every command that reads
+    it exits 1 or 2 with nothing on stdout, never with a traceback."""
+
+    DOC = {
+        "schema": [{"name": "x", "min": 0, "max": 4}, {"name": "y", "min": 0, "max": 4}],
+        "classes": ["A", "B"],
+        "elements": [
+            {"boxes": [{"x": [0, 2, True, False], "y": [0, 4, True, True]}],
+             "value": [100, 0], "mass": 3},
+            {"boxes": [{"x": [2, 4, True, True], "y": [0, 4, True, True]}],
+             "value": [25, 75], "mass": 3},
+        ],
+    }
+
+    @pytest.mark.parametrize("path, kind", SLOTS, ids=["-".join(map(str, p)) for p, _ in SLOTS])
+    @settings(derandomize=True, max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_one_or_two(self, tmp_path, capsys, path, kind, data):
+        doc = json.loads(json.dumps(self.DOC))
+        slot = doc
+        for key in path[:-1]:
+            slot = slot[key]
+        slot[path[-1]] = data.draw(JUNK[kind])
+        fill = {"junk": str(tmp_path / "junk.json"), "good": str(tmp_path / "good.json"),
+                "tmp": str(tmp_path)}
+        Path(fill["junk"]).write_text(json.dumps(doc))
+        Path(fill["good"]).write_text(json.dumps(self.DOC))
+        for argv in JUNK_COMMANDS:
+            capsys.readouterr()
+            assert main([arg.format(**fill) for arg in argv]) in (1, 2), argv
+            assert capsys.readouterr().out == ""
 
 
 class TestParser:

@@ -62,6 +62,33 @@ class TestParse:
         assert exc.value.line == 2
         assert exc.value.column > 1
 
+    # (id, rule text, message, line, column); each but the last follows one
+    # valid rule, so it is on line 2
+    SYNTAX_ERRORS = [
+        ("unexpected-character", "IF age < 3 THEN A $", "unexpected character '$'", 2, 19),
+        ("no-if", "  WHEN age < 3 THEN A", "rule must start with IF", 2, 3),
+        ("no-then", "IF age < 3 A", "missing THEN", 2, 12),
+        ("no-and", "IF age < 3 OR age > 1 THEN A", "expected AND", 2, 12),
+        ("no-attribute", "IF 3 < age THEN A", "expected attribute name", 2, 4),
+        ("no-threshold", "IF age < x THEN A", "expected numeric threshold", 2, 10),
+        ("no-outcome", "IF age < 3 THEN", "missing outcome after THEN", 2, 15),
+        ("no-comma", "IF age < 3 THEN A = 50% B = 50%", "expected ','", 2, 25),
+        ("no-percent", "IF age < 3 THEN A = x", "expected 'label = percent'", 2, 17),
+        ("bad-sum", "IF age < 3 THEN A = 50%, B = 40%",
+         "distribution sums to 90%, not 100%", 2, 17),
+        ("no-rules", None, "no rules found", 1, 1),
+    ]
+
+    @pytest.mark.parametrize("line, message, lineno, column",
+                             [case[1:] for case in SYNTAX_ERRORS],
+                             ids=[case[0] for case in SYNTAX_ERRORS])
+    def test_syntax_error_messages(self, line, message, lineno, column):
+        text = "# only a comment\n\n" if line is None else f"IF age < 1 THEN A\n{line}\n"
+        with pytest.raises(RuleSyntaxError) as exc:
+            parse_ruleset(text)
+        assert (exc.value.line, exc.value.column) == (lineno, column)
+        assert str(exc.value) == f"line {lineno}, column {column}: {message}"
+
     def test_duplicate_upper_bound(self):
         with pytest.raises(ValueError, match="duplicate upper"):
             parse_ruleset("IF age < 3 AND age < 5 THEN B")

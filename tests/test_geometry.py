@@ -463,3 +463,28 @@ class TestLocate:
             got = kernels.locate(boxes, [0], pts)
             assert got.dtype == np.intp and got.shape == (0,)
         assert kernels.locate([], [], [(0.5, 0.5), (2.0, 2.0)]).tolist() == [-1, -1]
+
+    @pytest.mark.parametrize("bound", [1 << 17, 1])
+    def test_bounds_at_the_largest_float(self, monkeypatch, bound):
+        # a closed end at the largest float stays put, on the slab axis and
+        # off it, and no end is moved past it with an overflow warning
+        monkeypatch.setattr(kernels, "_CHUNK_PAIRS", bound)
+        big = np.finfo(float).max
+        below = np.nextafter(big, 0.0)
+        boxes = [((0.0, big, False, True), closed(0.0, 1.0)),
+                 ((-big, 0.0, True, False), closed(0.0, 1.0)),
+                 (closed(big, big), closed(2.0, 3.0)),
+                 (closed(0.0, 1.0), closed(big, big)),
+                 (closed(-big, -big), closed(-big, -big))]
+        pts = [(big, 0.5), (below, 0.5), (np.inf, 0.5), (-big, 0.5), (-np.inf, 0.5),
+               (0.0, 0.5), (big, 2.5), (below, 2.5), (big, 3.5), (0.5, big),
+               (0.5, below), (0.5, np.inf), (-big, -big), (np.nan, big)]
+        assert kernels.locate(boxes, range(5), pts).tolist() == [
+            0, 0, -1, 1, -1, -1, 2, -1, -1, 3, -1, -1, 4, -1]
+
+    def test_point_box_at_the_largest_float(self):
+        big = np.finfo(float).max
+        point = Region.from_box((big, big, True, True))
+        assert point.contains((big,))
+        assert not point.contains((np.nextafter(big, 0.0),))
+        assert not point.contains((np.inf,))

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -332,6 +333,19 @@ class TestMerge:
         assert merged.class_labels == ("No", "Yes")
         assert validate(merged) == []
 
+    @pytest.mark.parametrize("a, b, union", [
+        (("A", -1), ("A", "B"), ("A", "B", -1)),  # no common order: by repr
+        ((2, 10), (1,), (1, 2, 10)),  # numbers keep their order
+    ])
+    def test_label_union_order(self, schema, a, b, union):
+        x = single_space(schema, ((0, 4, True, False), (0, 8, True, False)),
+                         (1.0,) + (0.0,) * (len(a) - 1), labels=a)
+        y = single_space(schema, ((2, 8, True, False), (0, 8, True, False)),
+                         (0.0,) * (len(b) - 1) + (1.0,), labels=b)
+        merged = merge(x, y)
+        assert merged.class_labels == union
+        assert validate(merged) == []
+
     def test_schema_mismatch(self, schema):
         other = AttributeSchema((("b0", 0.0, 8.0), ("b1", 0.0, 8.0)))
         x = single_space(schema, ((0, 1, True, False), (0, 1, True, False)), (1.0, 0.0))
@@ -349,6 +363,17 @@ class TestMerge:
 
 
 class TestNaryAndStreaming:
+    def test_drop_pass_changes_a_value(self):
+        # y is strictly inside x with x's value, so the drop pass removes it:
+        # at 3.5, A weighs 8 against z's 3, not (8 + 2) against 3
+        schema = AttributeSchema((("a", 0.0, 10.0),))
+        x, y, z = (single_space(schema, ((lo, hi, True, True),), weights, labels=("A", "B"))
+                   for lo, hi, weights in ((0, 8, (1.0, 0.0)), (2, 4, (1.0, 0.0)),
+                                           (3, 6, (0.0, 1.0))))
+        for merged in (merge_nary([x, y, z]), reduce(merge_streaming, [x, y, z])):
+            value, _ = classify(merged, (3.5,))
+            assert value.weights[0] == pytest.approx(8 / 11, abs=1e-12)
+
     def test_singleton(self, rng, schema):
         x = random_space(rng, schema)
         assert semantically_equal(merge_nary([x]), x)
