@@ -16,6 +16,7 @@ import contextlib
 import json
 import math
 import sys
+from functools import reduce
 from operator import methodcaller
 
 import numpy as np
@@ -120,7 +121,7 @@ def _parse_scheme(text, num_models):
             elif num_models is not None:
                 m = num_models
             else:
-                raise CliError(f"scheme {name!r} needs a model count, e.g. {name}:6")
+                raise CliError(f"scheme {name!r} needs a model count, e.g. {name}:4")
             if num_models is not None and m != num_models:
                 raise CliError(f"scheme covers {m} models, got {num_models}")
             return build(m)
@@ -160,18 +161,17 @@ def cmd_convert(args):
         for v in exc.violations:
             print(v, file=sys.stderr)
         raise CliError("rules overlap; conversion refused", EXIT_INVALID)
+    except ValueError as exc:
+        raise CliError(f"{args.rules or args.tree}: cannot convert: {exc}") from exc
     _write_space(args.out, space)
     return EXIT_OK
 
 
 def cmd_merge(args):
     spaces = [_read_space(p) for p in args.inputs]
+    lines = None
     if args.streaming_unbiased:
-        acc = spaces[0]
-        for sp in spaces[1:]:
-            acc = merge_streaming(acc, sp)
-        merged = acc
-        lines = None
+        merged = reduce(merge_streaming, spaces)
     else:
         scheme = _parse_scheme(args.scheme, len(spaces))
         merged = execute(scheme, spaces)

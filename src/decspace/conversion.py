@@ -196,8 +196,12 @@ def _parse_distribution(toks, lineno):
         ):
             col = toks[i][2] if i < len(toks) else toks[-1][2]
             raise RuleSyntaxError(lineno, col, "expected 'label = percent'")
+        percent = float(toks[i + 2][1])
+        if not 0 <= percent <= 100:
+            raise RuleSyntaxError(lineno, toks[i + 2][2],
+                                  f"percent {percent:g} outside [0, 100]")
         labels.append(toks[i][1])
-        weights.append(float(toks[i + 2][1]) / 100.0)
+        weights.append(percent / 100.0)
         i += 3
         if i < len(toks) and toks[i][1] == "%":
             i += 1
@@ -206,7 +210,10 @@ def _parse_distribution(toks, lineno):
         raise RuleSyntaxError(
             lineno, toks[0][2], f"distribution sums to {total * 100:g}%, not 100%"
         )
-    return ClassDistribution(tuple(labels), tuple(w / total for w in weights))
+    try:
+        return ClassDistribution(tuple(labels), tuple(w / total for w in weights))
+    except ValueError as exc:
+        raise RuleSyntaxError(lineno, toks[0][2], str(exc)) from None
 
 
 def parse_ruleset(text):
@@ -237,20 +244,20 @@ def format_ruleset(rules):
     return "\n".join(lines) + "\n"
 
 
-def _bounds_for(rule, attr):
-    lo = hi = None
-    for a, op, value in rule.conditions:
-        if a != attr.name:
-            continue
+def _box(rule, schema):
+    """The rule's box: the closed domain box, each condition applied once to
+    its side of its attribute."""
+    box = [[a.domain_min, a.domain_max, True, True] for a in schema.attributes]
+    for a, op, v in rule.conditions:
+        k = schema.index(a)
+        attr = schema.attributes[k]
+        if not attr.domain_min <= v <= attr.domain_max:
+            raise ValueError(f"threshold {v:g} outside domain of {a!r}")
         if op in UPPER_OPS:
-            hi = (value, op == "<=")
+            box[k][1], box[k][3] = v, op == "<="
         else:
-            lo = (value, op == ">=")
-    if lo is None:
-        lo = (attr.domain_min, True)
-    if hi is None:
-        hi = (attr.domain_max, True)
-    return (lo[0], hi[0], lo[1], hi[1])
+            box[k][0], box[k][2] = v, op == ">="
+    return tuple(map(tuple, box))
 
 
 def rules_to_space(rules, schema, class_labels=None):
@@ -261,16 +268,7 @@ def rules_to_space(rules, schema, class_labels=None):
     OverlappingRulesError carrying the validation report; an outcome that
     names a label missing from ``class_labels`` raises ValueError.
     """
-    names = set(schema.names)
-    for r in rules.rules:
-        for a, _, v in r.conditions:
-            if a not in names:
-                raise KeyError(f"unknown attribute {a!r}")
-            attr = schema.attributes[schema.index(a)]
-            if not attr.domain_min <= v <= attr.domain_max:
-                raise ValueError(
-                    f"threshold {v:g} outside domain of {a!r}"
-                )
+    boxes = [_box(r, schema) for r in rules.rules]
     named = [[r.outcome] if isinstance(r.outcome, str) else r.outcome.labels
              for r in rules.rules]
     if class_labels is None:
@@ -282,8 +280,7 @@ def rules_to_space(rules, schema, class_labels=None):
                 raise ValueError(f"outcome label {l!r} is not one of the classes {class_labels}")
 
     elems = []
-    for r in rules.rules:
-        box = tuple(_bounds_for(r, a) for a in schema.attributes)
+    for r, box in zip(rules.rules, boxes):
         if isinstance(r.outcome, str):
             value = ClassDistribution.one_hot(class_labels, r.outcome)
         else:
@@ -361,7 +358,10 @@ def tree_from_json(doc):
         if "value" in node:
             if classes is None:
                 raise ValueError('tree with "value" leaves needs a "classes" list')
-            weights = [_number(p) / 100.0 for p in node["value"]]
+            percents = [_number(p) for p in node["value"]]
+            if not all(0 <= p <= 100 for p in percents):
+                raise ValueError(f"leaf percent outside [0, 100]: {percents}")
+            weights = [p / 100.0 for p in percents]
             total = sum(weights)
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(f"leaf distribution sums to {total * 100:g}%")

@@ -67,9 +67,12 @@ def box(*intervals):
 class Region:
     """A finite union of pairwise-disjoint axis-aligned boxes.
 
-    Instances are immutable; all operations return new regions in coalesced
-    form.  One point set can still have several box decompositions, so
-    equality compares point sets.  The empty region has zero boxes.
+    ``Region(boxes)`` checks each interval as ``Interval`` does, so one may
+    be given as a ``(lo, hi)`` pair, closed below and open above, and stores
+    it as its 4-tuple.  Instances are immutable; all operations return new
+    regions in coalesced form.  One point set can still have several box
+    decompositions, so equality compares point sets.  The empty region has
+    zero boxes.
     """
 
     __slots__ = ("boxes",)
@@ -78,10 +81,8 @@ class Region:
         if _canonical:
             boxes = tuple(boxes)
         else:
-            boxes = tuple(tuple(tuple(iv) for iv in b) for b in boxes)
-            for b in boxes:
-                for iv in b:
-                    Interval(*iv).check()
+            boxes = tuple(tuple(tuple(Interval(*iv).check()) for iv in b)
+                          for b in boxes)
             dims = {len(b) for b in boxes}
             if len(dims) > 1:
                 raise ValueError("boxes of mixed dimensionality")
@@ -94,8 +95,7 @@ class Region:
 
     @classmethod
     def from_box(cls, *intervals):
-        b = tuple(tuple(iv) for iv in box(*intervals))
-        return cls((b,), _canonical=True)
+        return cls((intervals,))
 
     @classmethod
     def empty(cls):
@@ -117,7 +117,7 @@ class Region:
 
     def intersect(self, other):
         self._check_dim(other)
-        return Region(_k.coalesce(_k.boxes_intersect(self.boxes, other.boxes)),
+        return Region(_k.coalesce(_k.boxes_cut(self.boxes, other.boxes)[0]),
                       _canonical=True)
 
     def subtract(self, other):

@@ -3,7 +3,8 @@
 The set primitives operate on plain tuples: an interval is
 ``(lo, hi, lo_closed, hi_closed)`` and a box is a tuple of intervals (one
 per attribute).  Every split of one box set by another is one cut,
-``boxes_cut``, which returns the shared part and the rest together.
+``boxes_cut``, which returns the shared part and the rest together; an
+intersection, or a test whether two box sets meet, is its shared part.
 Coalescing joins adjacent boxes in one pass, finding each box's partners by
 dictionary lookup on its faces.  Point location works on an ``(n, m)``
 point array with numpy: a small call tests every point against every box,
@@ -174,17 +175,6 @@ def coalesce(boxes):
             lows.setdefault(b[k][0], []).append(rank)
             highs.setdefault(b[k][1], []).append(rank)
     return [live[r] for r in sorted(live)]
-
-
-def boxes_intersect(boxes_a, boxes_b):
-    """All pairwise box intersections between two disjoint box sets."""
-    out = []
-    for a in boxes_a:
-        for b in boxes_b:
-            iv = box_intersect(a, b)
-            if iv is not None:
-                out.append(iv)
-    return out
 
 
 def boxes_cut(A, B):

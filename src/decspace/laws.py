@@ -11,7 +11,7 @@ Each trial draws a schema of 1-4 attributes on [0, 8] and its spaces from
 ``sampling.random_space``, so faces of different spaces meet.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -47,16 +47,6 @@ class LawResult:
     trials: int
     detail: str = ""
     counterexample: dict = field(default=None)
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "passed": self.passed,
-            "trials": self.trials,
-            "detail": self.detail,
-            "counterexample": self.counterexample,
-        }
 
 
 def nonassociativity_witness(schema=DEFAULT_SCHEMA):
@@ -239,6 +229,6 @@ def report(results, seed, trials):
     return {
         "seed": seed,
         "trials": trials,
-        "laws": [r.as_dict() for r in results],
+        "laws": [asdict(r) for r in results],
         "proven_all_passed": all(r.passed for r in results if r.kind == "proven"),
     }

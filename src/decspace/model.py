@@ -19,9 +19,12 @@ EQUALITY_TOL = 1e-9
 
 
 def _number(v, kind=float):
-    """``kind(v)`` for a number read from a document, raising ValueError,
-    not OverflowError, for one that ``kind`` cannot hold (a JSON integer
-    past the float range, or an infinity read as an integer)."""
+    """``kind(v)`` for a JSON number read from a document, or for a JSON
+    integer where ``kind`` is int.  Raises ValueError for anything else
+    (a string or a boolean too) and, not OverflowError, for a JSON integer
+    past the float range."""
+    if type(v) not in (kind, int):  # a bool is neither
+        raise ValueError(f"not a JSON {'integer' if kind is int else 'number'}: {v!r:.40}")
     try:
         return kind(v)
     except OverflowError:
@@ -104,6 +107,8 @@ class ClassDistribution:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.labels) != len(self.weights):
             raise ValueError("labels and weights differ in length")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"duplicate class labels in {self.labels}")
         if not all(math.isfinite(w) for w in self.weights):
             raise ValueError(f"class weights must be finite: {self.weights}")
 
@@ -178,6 +183,8 @@ class DecisionSpace:
     def __post_init__(self):
         object.__setattr__(self, "class_labels", tuple(self.class_labels))
         object.__setattr__(self, "elements", tuple(self.elements))
+        if len(set(self.class_labels)) != len(self.class_labels):
+            raise ValueError(f"duplicate class labels in {self.class_labels}")
 
     @classmethod
     def empty(cls, schema, class_labels=()):
@@ -250,13 +257,14 @@ def overlap_violations(space):
 
     Candidate pairs come from the element extents in one numpy pass.
     Touching ends count, so closed shared faces and point elements are
-    still seen; an element whose dimension is not the schema's is a
-    candidate with every other.  Only candidates are intersected box by box.
+    still seen; an element whose dimension is not the schema's, which
+    ``validate`` reports, is compared with no other.  Only candidates are
+    cut box by box.
     """
     regions = [e.region for e in space.elements]
     m = len(space.schema)
-    anywhere = ((-math.inf, math.inf),) * m
-    ext = np.array([r.extent() if r.dim == m else anywhere for r in regions],
+    nowhere = ((math.inf, -math.inf),) * m
+    ext = np.array([r.extent() if r.dim == m else nowhere for r in regions],
                    dtype=float).reshape(len(regions), m, 2)
     apart = np.zeros((len(regions), len(regions)), dtype=bool)
     # written so that a NaN bound keeps the pair a candidate
@@ -265,7 +273,7 @@ def overlap_violations(space):
     return [
         f"elements {i} and {j}: regions overlap"
         for i, j in np.argwhere(np.triu(~apart, 1)).tolist()
-        if _k.boxes_intersect(regions[i].boxes, regions[j].boxes)
+        if _k.boxes_cut(regions[i].boxes, regions[j].boxes)[0]
     ]
 
 

@@ -1,12 +1,12 @@
 """The algebra core: conflict-resolving merge, its m-ary and bias-free
 streaming variants, the restriction operator, and their composites.
 
-Every split goes through one kernel, ``boxes_cut`` (shared part and rest
-in one pass).  The three merges share one overlay and differ only in how
-an element is weighed.  The overlay cuts space by space: a space's
-elements cut the fragments built so far as one batch, one cut per
-candidate pair from one numpy extent comparison, and each output fragment
-is coalesced once, at the end.
+Every split, and the projection test of strict subsumption, goes through
+one kernel, ``boxes_cut`` (shared part and rest in one pass).  The three
+merges share one overlay and differ only in how an element is weighed.
+The overlay cuts space by space: a space's elements cut the fragments
+built so far as one batch, one cut per candidate pair from one numpy
+extent comparison, and each output fragment is coalesced once, at the end.
 
 Conflicts are resolved by weighted averaging of the class distributions;
 the weight of an element is the mean projected extent of its region (its
@@ -59,23 +59,19 @@ def subsumes(x, y):
     return y.region.issubset(x.region)
 
 
-def _strictly_inside(y, x):
-    """Is region y's projection on every attribute, its boxes' (possibly
-    overlapping) intervals, inside x's and strictly inside its extremes?"""
-    ext = list(zip(y.extent(), x.extent()))
+def strictly_subsumes(x, y):
+    """True iff x strictly subsumes y: on every attribute, y's projection,
+    its boxes' (possibly overlapping) intervals, is a proper subset of x's,
+    strictly inside both extremes (a projection that reaches either end of
+    x's extent is only ordinary containment)."""
+    ext = list(zip(y.region.extent(), x.region.extent()))
     if not all(xlo < ylo and yhi < xhi for (ylo, yhi), (xlo, xhi) in ext):
         return False
     return not any(
-        _k.boxes_cut([(b[k],) for b in y.boxes], [(b[k],) for b in x.boxes])[1]
+        _k.boxes_cut([(b[k],) for b in y.region.boxes],
+                     [(b[k],) for b in x.region.boxes])[1]
         for k in range(len(ext))
     )
-
-
-def strictly_subsumes(x, y):
-    """True iff x strictly subsumes y: on every attribute, y's projection is
-    a proper subset of x's, strictly inside both extremes (a projection that
-    reaches either end of x's extent is only ordinary containment)."""
-    return _strictly_inside(y.region, x.region)
 
 
 def combine_values(values, masses):
@@ -123,7 +119,7 @@ def _kept(spaces):
         (s, e) for y, (s, e) in enumerate(entries)
         if not any(
             e.value.close_to(entries[x][1].value)
-            and _strictly_inside(e.region, entries[x][1].region)
+            and strictly_subsumes(entries[x][1], e)
             for x in candidates[y]
         )
     ]

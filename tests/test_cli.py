@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -113,6 +114,11 @@ class TestConvert:
         assert main(["convert", "--rules", "/nonexistent", "--schema",
                      schema_file]) == 1
 
+    def test_stdin_and_stdout(self, monkeypatch, schema_file, space_file, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(RULES_TEXT))
+        assert main(["convert", "--rules", "-", "--schema", schema_file, "--out", "-"]) == 0
+        assert capsys.readouterr().out == Path(space_file).read_text()
+
 
 class TestMergeCommand:
     def test_single_input_identity(self, tmp_path, space_file, capsys):
@@ -188,6 +194,20 @@ class TestMergeCommand:
     def test_bad_scheme_count(self, space_file, capsys):
         assert main(["merge", "--in", space_file, space_file,
                      "--scheme", "factored:3x2"]) == 1
+
+    def test_explicit_count_must_match_inputs(self, space_file, capsys):
+        assert main(["merge", "--in", space_file, space_file,
+                     "--scheme", "chain:3"]) == 1
+        assert capsys.readouterr().err == "error: scheme covers 3 models, got 2\n"
+
+    def test_stdin_and_stdout(self, monkeypatch, space_file, capsys):
+        # with the space on stdout, the impact table goes to stderr
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(space_file).read_text()))
+        assert main(["merge", "--in", "-", "--out", "-"]) == 0
+        out, err = capsys.readouterr()
+        assert semantically_equal(space_from_json(json.loads(out)),
+                                  space_from_json(json.loads(Path(space_file).read_text())))
+        assert err == "0\t1.000000\n"
 
 
 class TestRestrictCompose:
@@ -415,6 +435,25 @@ class TestImpactValidateLaws:
     def test_impact_needs_count_for_chain(self, capsys):
         assert main(["impact", "--scheme", "chain"]) == 1
 
+    @pytest.mark.parametrize("spec, weights", [
+        ("chain:3", ["0.250000", "0.250000", "0.500000"]),
+        ("balanced:4", ["0.250000"] * 4),
+    ])
+    def test_impact_explicit_count(self, capsys, spec, weights):
+        assert main(["impact", "--scheme", spec]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[1] for line in lines] == weights
+
+    def test_impact_bad_count(self, capsys):
+        assert main(["impact", "--scheme", "chain:abc"]) == 1
+        assert capsys.readouterr().err == "error: bad scheme spec 'chain:abc'\n"
+
+    @pytest.mark.parametrize("name", ["chain", "balanced"])
+    def test_count_hint_is_a_valid_spec(self, capsys, name):
+        assert main(["impact", "--scheme", name]) == 1
+        hint = capsys.readouterr().err.split("e.g. ")[1].strip()
+        assert main(["impact", "--scheme", hint]) == 0
+
     def test_validate_detects_overlap(self, tmp_path, space_file, capsys):
         doc = json.loads(Path(space_file).read_text())
         doc["elements"].append(doc["elements"][0])
@@ -460,6 +499,10 @@ class TestImpactValidateLaws:
         assert {"merge_commutative", "plus_idempotent",
                 "barodot_associative"} <= names
         assert "pass\tproven\tmerge_commutative" in captured.err
+
+    def test_laws_needs_a_trial(self, capsys):
+        assert main(["laws", "--trials", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: --trials must be >= 1\n")
 
     def test_laws_deterministic(self, capsys):
         assert main(["laws", "--trials", "3", "--seed", "5"]) == 0
@@ -565,6 +608,22 @@ MALFORMED = [
      ["simulate", "--config", "{file}", "--out", "{tmp}/acc.csv"], 1, "{file}"),
     ("space-label-an-object", "space.json", _space(classes=["A", {"k": 1}]),
      ["validate", "--in", "{file}"], 1, "{file}"),
+    ("space-duplicate-classes", "space.json", _space(classes=["A", "A"]),
+     ["validate", "--in", "{file}"], 1, "{file}"),
+    ("rules-duplicate-label", "rules.txt", "IF age < 2 THEN A = 50%, A = 50%\n",
+     CONVERT_RULES, 1, "{file}: not a rule set: line 1, column 17: duplicate class label"),
+    ("rules-percent-above-100", "rules.txt", "IF age < 2 THEN A = 150%, B = -50%\n",
+     CONVERT_RULES, 1, "{file}: not a rule set: line 1, column 21: percent 150"),
+    ("classes-duplicate-label", "rules.txt", "IF age < 2 THEN A\n",
+     [*CONVERT_RULES, "--classes", "A,A,B"], 1, "{file}"),
+    ("tree-duplicate-classes", "tree.json",
+     json.dumps({"classes": ["A", "A"], "tree": {"label": "A"}}), CONVERT_TREE, 1, "{file}"),
+    ("tree-percent-above-100", "tree.json", _tree(value=[150, -50]), CONVERT_TREE, 1,
+     "{file}"),
+    *((f"simulate-{key}-{name}", "cfg.json", json.dumps({**SIMULATE_CONFIG, key: value}),
+       ["simulate", "--config", "{file}", "--out", "{tmp}/acc.csv"], 1, "{file}")
+      for key, name, value in (("seed", "fraction", 2.9), ("num_learners", "boolean", True),
+                               ("drift_at", "string", "1"))),
 ]
 
 
@@ -594,13 +653,6 @@ class TestMalformedInput:
         assert culprit.format(**fill) in lines[-1]
 
 
-def _not_a_finite_number(text):
-    try:
-        return not math.isfinite(float(text))
-    except ValueError:
-        return True
-
-
 _CONTAINERS = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     st.lists(st.one_of(st.none(), st.booleans(), st.lists(st.integers(), max_size=1),
@@ -612,7 +664,9 @@ JUNK = {
     "number": st.one_of(
         st.integers(309, 400).flatmap(lambda k: st.sampled_from([10 ** k, -10 ** k])),
         st.sampled_from([math.nan, math.inf, -math.inf]),
-        st.text(max_size=5).filter(_not_a_finite_number),
+        st.text(max_size=5),
+        st.floats(allow_nan=False, allow_infinity=False).map(str),
+        st.booleans(),
         _CONTAINERS,
     ),
     "flag": st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=3), _CONTAINERS),

@@ -74,8 +74,15 @@ class TestParse:
         ("no-outcome", "IF age < 3 THEN", "missing outcome after THEN", 2, 15),
         ("no-comma", "IF age < 3 THEN A = 50% B = 50%", "expected ','", 2, 25),
         ("no-percent", "IF age < 3 THEN A = x", "expected 'label = percent'", 2, 17),
+        ("no-comparison", "IF age = 3 THEN A", "expected comparison, got '='", 2, 8),
         ("bad-sum", "IF age < 3 THEN A = 50%, B = 40%",
          "distribution sums to 90%, not 100%", 2, 17),
+        ("percent-above-100", "IF age < 3 THEN A = 150%, B = -50%",
+         "percent 150 outside [0, 100]", 2, 21),
+        ("percent-below-0", "IF age < 3 THEN A = -50%, B = 150%",
+         "percent -50 outside [0, 100]", 2, 21),
+        ("duplicate-label", "IF age < 3 THEN A = 50%, A = 50%",
+         "duplicate class labels in ('A', 'A')", 2, 17),
         ("no-rules", None, "no rules found", 1, 1),
     ]
 
@@ -145,6 +152,18 @@ class TestRulesToSpace:
         schema = AttributeSchema((("age", 0.0, 10.0),))
         with pytest.raises(KeyError):
             rules_to_space(parse_ruleset("IF height < 4 THEN A"), schema)
+
+    def test_unknown_attribute_before_unknown_label(self):
+        schema = AttributeSchema((("age", 0.0, 10.0),))
+        with pytest.raises(KeyError, match="height"):
+            rules_to_space(parse_ruleset("IF height < 4 THEN A"), schema, ("X",))
+
+    @pytest.mark.parametrize("op, inside, outside",
+                             [("<", 1, 2), ("<=", 2, 3), (">", 3, 2), (">=", 2, 1)])
+    def test_rule_evaluate(self, op, inside, outside):
+        rule = Rule((("age", op, 2.0),), "A")
+        assert rule.evaluate(("age",), (inside,))
+        assert not rule.evaluate(("age",), (outside,))
 
     def test_threshold_outside_domain(self):
         schema = AttributeSchema((("age", 0.0, 10.0),))
@@ -233,6 +252,19 @@ class TestTrees:
     ])
     def test_malformed_document_is_a_value_error(self, doc):
         with pytest.raises(ValueError):
+            tree_from_json(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"tree": {}}, "malformed tree node"),
+        ({"classes": ["A", "B"], "tree": {"value": [50, 20]}}, "sums to 70%"),
+        ({"classes": ["A", "B"], "tree": {"value": [150, -50]}}, r"outside \[0, 100\]"),
+        ({"classes": ["A", "A"], "tree": {"value": [50, 50]}}, "duplicate class label"),
+        ({"classes": ["A"], "tree": {"value": ["100"]}}, "not a JSON number"),
+        ({"tree": {"attr": "age", "threshold": True, "left": {"label": "A"},
+                   "right": {"label": "B"}}}, "not a JSON number"),
+    ])
+    def test_rejected_document_message(self, doc, message):
+        with pytest.raises(ValueError, match=message):
             tree_from_json(doc)
 
     def test_repeated_attribute_bounds_tightened(self):

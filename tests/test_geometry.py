@@ -52,6 +52,28 @@ class TestInterval:
             box((0, 1), (3, 2))
 
 
+class TestRegionConstruction:
+    def test_pair_intervals_are_stored_checked(self):
+        r = Region([((0.0, 1.0),)])
+        assert r.boxes == (((0.0, 1.0, True, False),),)
+        assert r.contains((0.0,)) and not r.contains((1.0,))
+        assert (r & Region.from_box((0.5, 2.0))) == Region.from_box((0.5, 1.0))
+
+    def test_from_box_is_a_one_box_region(self):
+        ivs = ((0, 1), (2, 3, True, True))
+        assert Region.from_box(*ivs).boxes == (box(*ivs),)
+        assert Region.from_box(*ivs) == Region((ivs,))
+
+    def test_overlapping_boxes_rejected(self):
+        # the closed ends of boxes 1 and 2 share the point 3
+        with pytest.raises(ValueError, match="boxes 1 and 2 are not disjoint"):
+            Region(((half_open(0, 2),), (closed(2, 3),), (closed(3, 4),)))
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="mixed dimensionality"):
+            Region(((half_open(0, 2),), (half_open(2, 3), half_open(0, 1))))
+
+
 class TestRegionIntersect:
     def test_self_intersection_is_identity(self):
         r = Region.from_box(half_open(0, 4), half_open(0, 4))

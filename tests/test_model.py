@@ -55,9 +55,11 @@ class TestSchema:
             AttributeSchema((("a", lo, hi),))
 
     def test_from_json(self):
-        schema = AttributeSchema.from_json([{"name": "a", "min": 0, "max": "2.5"}])
+        schema = AttributeSchema.from_json([{"name": "a", "min": 0, "max": 2.5}])
         assert schema == AttributeSchema((("a", 0.0, 2.5),))
         for bad, exc in (([{"name": "a", "min": 0}], KeyError),
+                         ([{"name": "a", "min": 0, "max": "2.5"}], ValueError),
+                         ([{"name": "a", "min": False, "max": 1}], ValueError),
                          ([{"name": "a", "min": 0, "max": "x"}], ValueError),
                          ([["a", 0, 1]], TypeError),
                          ([{"name": "a", "min": 1, "max": 0}], ValueError)):
@@ -88,6 +90,13 @@ class TestClassDistribution:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError):
             ClassDistribution(("Yes", "No"), (bad, 0.5))
+
+    @pytest.mark.parametrize("labels", [("A", "A"), ("A", "B", "A")])
+    def test_duplicate_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="duplicate class labels"):
+            ClassDistribution(labels, (1.0,) + (0.0,) * (len(labels) - 1))
+        with pytest.raises(ValueError, match="duplicate class labels"):
+            DecisionSpace.empty(AttributeSchema((("x", 0, 1),)), labels)
 
     def test_percentages_rounded_to_six_places(self):
         d = ClassDistribution(("Yes", "No"), (3.0 / 14.0, 11.0 / 14.0))
@@ -146,6 +155,29 @@ class TestValidate:
         )
         assert any("exceeds" in v for v in validate(space))
 
+    def test_distribution_over_unknown_classes(self, partition_schema):
+        space = DecisionSpace(
+            partition_schema, ("A",),
+            (Element(
+                Region.from_box((0, 1, True, False), (0, 1, True, False)),
+                ClassDistribution(("A", "B"), (1.0, 0.0)),
+            ),),
+        )
+        assert validate(space) == ["element 0: distribution over unknown classes"]
+
+    def test_wrong_dimension_elements_compared_with_none(self, partition_schema):
+        # both elements contain the point (0, 0, ...) of their own dimension
+        value = ClassDistribution(("A",), (1.0,))
+        space = DecisionSpace(partition_schema, ("A",), (
+            Element(Region.from_box((0, 1)), value),
+            Element(Region.from_box((0, 1), (0, 1), (0, 1)), value),
+            Element(Region.from_box((0, 1), (0, 1)), value),
+        ))
+        assert validate(space) == [
+            "element 0: region dimension 1 != schema 2",
+            "element 1: region dimension 3 != schema 2",
+        ]
+
 
 def all_pairs_overlaps(space):
     """The overlap messages of a test of every pair of elements."""
@@ -153,7 +185,8 @@ def all_pairs_overlaps(space):
     return [
         f"elements {i} and {j}: regions overlap"
         for i in range(len(els)) for j in range(i + 1, len(els))
-        if kernels.boxes_intersect(els[i].region.boxes, els[j].region.boxes)
+        if any(kernels.box_intersect(a, b) for a in els[i].region.boxes
+               for b in els[j].region.boxes)
     ]
 
 
