@@ -197,6 +197,10 @@ def cmd_compose(args):
 
 
 def _parse_instance(text, dim):
+    # Python's float also reads "1_0" as 10 and non-ASCII digits as digits;
+    # a coordinate is ASCII, without underscores
+    if not text.isascii() or "_" in text:
+        raise CliError(f"bad instance {text!r}")
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
@@ -212,12 +216,15 @@ def _parse_instances(rows, dim):
     """The instance rows as one ``(len(rows), dim)`` array, parsed in bulk.
 
     Converting a list of strings to a float array applies Python's
-    ``float`` to each, as ``_parse_instance`` does.  When a row is bad, the
-    error is the one ``_parse_instance`` gives for the first bad row in file
+    ``float`` to each, as ``_parse_instance`` does after it has checked
+    that a row is ASCII without underscores.  When a row is bad, the error
+    is the one ``_parse_instance`` gives for the first bad row in file
     order, whatever makes it bad.
     """
-    if set(map(methodcaller("count", ","), rows)) <= {dim - 1}:
-        fields = ",".join(rows).split(",") if rows else []
+    text = ",".join(rows)
+    if (text.isascii() and "_" not in text
+            and set(map(methodcaller("count", ","), rows)) <= {dim - 1}):
+        fields = text.split(",") if rows else []
         with contextlib.suppress(ValueError):
             points = np.array(fields, dtype=float).reshape(len(rows), dim)
             if np.isfinite(points).all():

@@ -244,12 +244,15 @@ def format_ruleset(rules):
     return "\n".join(lines) + "\n"
 
 
-def _box(rule, schema):
+def _box(rule, schema, index):
     """The rule's box: the closed domain box, each condition applied once to
-    its side of its attribute."""
+    its side of its attribute.  ``index`` maps each attribute name of
+    ``schema`` to its position."""
     box = [[a.domain_min, a.domain_max, True, True] for a in schema.attributes]
     for a, op, v in rule.conditions:
-        k = schema.index(a)
+        k = index.get(a)
+        if k is None:
+            raise KeyError(f"unknown attribute {a!r}")
         attr = schema.attributes[k]
         if not attr.domain_min <= v <= attr.domain_max:
             raise ValueError(f"threshold {v:g} outside domain of {a!r}")
@@ -268,7 +271,8 @@ def rules_to_space(rules, schema, class_labels=None):
     OverlappingRulesError carrying the validation report; an outcome that
     names a label missing from ``class_labels`` raises ValueError.
     """
-    boxes = [_box(r, schema) for r in rules.rules]
+    index = {name: k for k, name in enumerate(schema.names)}
+    boxes = [_box(r, schema, index) for r in rules.rules]
     named = [[r.outcome] if isinstance(r.outcome, str) else r.outcome.labels
              for r in rules.rules]
     if class_labels is None:
@@ -279,10 +283,11 @@ def rules_to_space(rules, schema, class_labels=None):
             if l not in class_labels:
                 raise ValueError(f"outcome label {l!r} is not one of the classes {class_labels}")
 
+    hot = {l: ClassDistribution.one_hot(class_labels, l) for l in class_labels}
     elems = []
     for r, box in zip(rules.rules, boxes):
         if isinstance(r.outcome, str):
-            value = ClassDistribution.one_hot(class_labels, r.outcome)
+            value = hot[r.outcome]
         else:
             value = r.outcome.extended(class_labels)
         elems.append(Element(Region((box,)), value))

@@ -4,8 +4,10 @@ The set primitives operate on plain tuples: an interval is
 ``(lo, hi, lo_closed, hi_closed)`` and a box is a tuple of intervals (one
 per attribute).  Every split of one box set by another is one cut,
 ``boxes_cut``, which returns the shared part and the rest together; an
-intersection, or a test whether two box sets meet, is its shared part.
-Coalescing joins adjacent boxes in one pass, finding each box's partners by
+intersection is its shared part.  It cuts box by box with ``box_cut``,
+one pass over the axes that narrows the intersection and splits off the
+rest as it goes.  A test whether two box sets meet stops at their first
+meeting pair of boxes (``box_intersect``), building no rest.  Coalescing joins adjacent boxes in one pass, finding each box's partners by
 dictionary lookup on its faces.  Point location works on an ``(n, m)``
 point array with numpy: a small call tests every point against every box,
 and a larger one is a slab index (Dobkin and Lipton, 1976) in row space.
@@ -55,18 +57,6 @@ def itv_intersect(a, b):
     return (lo, hi, lc, hc)
 
 
-def itv_subtract(a, b):
-    """Set difference of intervals as a list of 0, 1, or 2 intervals."""
-    out = []
-    left = itv_intersect(a, (-_INF, b[0], False, not b[2]))
-    if left is not None:
-        out.append(left)
-    right = itv_intersect(a, (b[1], _INF, not b[3], False))
-    if right is not None:
-        out.append(right)
-    return out
-
-
 def box_intersect(a, b):
     """Componentwise intersection of two boxes, or None when empty."""
     out = []
@@ -82,15 +72,33 @@ def box_cut(a, b):
     """``(a & b or None, disjoint pieces of a - b)`` by an axis-sweep peel:
     per dimension the parts of ``a`` below and above ``b`` are split off,
     then the core is narrowed to the intersection; at most two pieces per
-    dimension."""
-    inter = box_intersect(a, b)
-    if inter is None:
-        return None, [a]
+    dimension.  One pass over the axes; a piece is kept only when ``a``
+    meets ``b`` on every axis."""
+    core = ()  # a & b on the axes so far
     pieces = []
-    for k in range(len(a)):
-        for part in itv_subtract(a[k], b[k]):
-            pieces.append(inter[:k] + (part,) + a[k + 1:])
-    return inter, pieces
+    for k, ((alo, ahi, alc, ahc), (blo, bhi, blc, bhc)) in enumerate(zip(a, b)):
+        if alo > blo:
+            lo, lc = alo, alc
+        elif blo > alo:
+            lo, lc = blo, blc
+        else:
+            lo, lc = alo, alc and blc
+        if ahi < bhi:
+            hi, hc = ahi, ahc
+        elif bhi < ahi:
+            hi, hc = bhi, bhc
+        else:
+            hi, hc = ahi, ahc and bhc
+        if lo > hi or (lo == hi and not (lc and hc)):
+            return None, [a]
+        # as a meets b on this axis, the part below b ends at blo and the
+        # part above starts at bhi, each with the flag opposite to b's
+        if alo < blo or (alo == blo and alc and not blc):
+            pieces.append(core + ((alo, blo, alc, not blc),) + a[k + 1:])
+        if bhi < ahi or (bhi == ahi and ahc and not bhc):
+            pieces.append(core + ((bhi, ahi, not bhc, ahc),) + a[k + 1:])
+        core += ((lo, hi, lc, hc),)
+    return core, pieces
 
 
 def box_measure(box):

@@ -8,13 +8,11 @@ so all outputs are bit-reproducible given the configuration.
 
 import csv
 import io
-import itertools
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import kernels
 from .model import (
     AttributeSchema,
     ClassDistribution,
@@ -92,11 +90,66 @@ def generate_batch(cfg, batch_index):
     return points, _label(points, _cut(cfg, batch_index))
 
 
+def _grid_coalesce(flat, grid, m):
+    """``kernels.coalesce`` of the cells of a ``grid ** m`` grid at the
+    ascending row-major (flat) indices ``flat``, as the same boxes in the
+    same order: each box is the pair of flat indices of its lowest and its
+    highest cell.
+
+    Every earlier cell precedes the newest one in row-major order, so the
+    box that holds the newest cell ends at that cell on every axis, and a
+    live box can join it only by ending just below it on one axis k and
+    matching it on the others.  Per axis, one dictionary keyed by a box's
+    lowest cell with axis k zeroed and its highest cell finds that partner,
+    which is unique because live boxes are disjoint.
+
+    A box's rank in ``coalesce`` is that of its first cell, its lowest, so
+    ranks follow lowest cells.  Of two partners, on axes j < k, the one on
+    axis j starts lower on axis j and equal on the axes before it, so
+    joining the earliest-ranked partner is joining the partner on the
+    first axis that has one.
+    """
+    n = grid ** m
+    cells = np.arange(n)
+    axes = []  # per axis k: (stride, {key: lowest cell}, each cell's axis-k offset)
+    for k in range(m):
+        s = grid ** (m - 1 - k)
+        axes.append((s, {}, (cells // s % grid * s).tolist()))
+    # a live box is filed on axis k under (lowest cell without axis k,
+    # highest cell), coded as one integer
+    live = {}  # lowest cell -> highest cell
+    for hi in flat:
+        lo = hi
+        while True:
+            for s, ends, off in axes:
+                lo_off = off[lo]
+                if lo_off:
+                    # the partner ends where this box does, but just below it on axis k
+                    p = ends.get((lo - lo_off) * n + hi - off[hi] + lo_off - s)
+                    if p is not None:
+                        break
+            else:
+                break
+            p_hi = live.pop(p)
+            for s, ends, off in axes:
+                del ends[(p - off[p]) * n + p_hi]
+            lo = p
+        live[lo] = hi
+        for s, ends, off in axes:
+            ends[(lo - off[lo]) * n + hi] = lo
+    return sorted(live.items())
+
+
 def induce_rules(points, labels, schema, grid):
     """Stand-in local learner: majority label per grid cell (ties to the
     first of ``LABELS``; an empty cell takes the overall majority), each
     label's cells coalesced in row-major order into a non-overlapping rule
-    set covering the whole domain."""
+    set covering the whole domain.
+
+    The cells are coalesced as flat indices by ``_grid_coalesce``, which
+    gives the boxes ``kernels.coalesce`` gives for the cells as boxes, in
+    the same order, and each box becomes a rule from its corner cells'
+    grid edges."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
     if len(points) == 0:
@@ -121,22 +174,19 @@ def induce_rules(points, labels, schema, grid):
     seen = np.bincount(flat, minlength=grid ** m) > 0
     cell_label = np.where(seen, np.argmax(counts, axis=0), overall)
 
-    # each axis's cells as intervals; only the top cell is closed above
-    axes = [
-        [(e[c], e[c + 1], True, c == grid - 1) for c in range(grid)]
-        for e in edges
-    ]
-    cells = list(itertools.product(*axes))  # row-major, as ``flat``
+    # a box of cells lo..hi spans edges[k][lo_k] to edges[k][hi_k + 1]
+    strides = [grid ** (m - 1 - k) for k in range(m)]
     rules = []
     for i, label in enumerate(LABELS):
-        for box in kernels.coalesce([cells[c] for c in np.flatnonzero(cell_label == i)]):
+        cells = np.flatnonzero(cell_label == i).tolist()
+        for lo, hi in _grid_coalesce(cells, grid, m):
             conds = []
-            for k, a in enumerate(schema.attributes):
-                lo, hi, _, hc = box[k]
-                if lo > a.domain_min:
-                    conds.append((a.name, ">=", lo))
-                if hi < a.domain_max:
-                    conds.append((a.name, "<", hi))
+            for a, s, e in zip(schema.attributes, strides, edges):
+                lo_edge, hi_edge = e[lo // s % grid], e[hi // s % grid + 1]
+                if lo_edge > a.domain_min:
+                    conds.append((a.name, ">=", lo_edge))
+                if hi_edge < a.domain_max:
+                    conds.append((a.name, "<", hi_edge))
             rules.append(Rule(tuple(conds), label))
     return RuleSet(tuple(rules))
 

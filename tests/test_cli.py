@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import decspace
 from decspace import (
@@ -423,6 +423,66 @@ class TestBulkClassify:
             assert _parse_instances(rows, 2).tobytes() == want.tobytes()
             assert code == 0 and captured.err == ""
             assert captured.out == reference_output(mixed_space_file, rows)
+
+
+# fields that no instance row holds: non-finite or too large for a float,
+# Python-only float syntax, empty, or not ASCII (no line breaks among them)
+JUNK_FIELDS = [
+    "1e400", "-1e400", "nan", "-inf", "Infinity", "1_0", "_1", "", " ", "x",
+    "0x10", "1e", "--1", "True", "1 2", "\u0661", "\uff11", "\u00bd", "3\u00a0",
+    "\u22121", "1\u200b", "\u00e9",
+]
+_GOOD_FIELD = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def _junk_row(draw):
+    """A 2-D instance row with one junk field, or a wrong field count."""
+    fields = [draw(_GOOD_FIELD), draw(_GOOD_FIELD)]
+    how = draw(st.sampled_from(["field", "extra", "missing"]))
+    if how == "field":
+        fields[draw(st.integers(0, 1))] = draw(st.sampled_from(JUNK_FIELDS))
+    elif how == "extra":
+        fields += draw(st.lists(_GOOD_FIELD | st.sampled_from(JUNK_FIELDS),
+                                min_size=1, max_size=2))
+    else:
+        fields.pop()
+    row = ",".join(fields)
+    assume(row.strip())  # a blank line is skipped, not read
+    return row
+
+
+class TestJunkInstances:
+    """One junk row among valid rows for ``--instances``, and one junk
+    string for ``--instance``: exit 1, nothing on stdout, and an error that
+    names the first bad row."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(good=st.lists(st.tuples(_GOOD_FIELD, _GOOD_FIELD), max_size=6),
+           bad=_junk_row(), data=st.data())
+    def test_instances_file(self, tmp_path, mixed_space_file, capsys, good, bad, data):
+        rows = [",".join(pt) for pt in good]
+        rows.insert(data.draw(st.integers(0, len(rows))), bad)
+        csv = tmp_path / "pts.csv"
+        csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(CliError) as want:
+            _parse_instance(bad, 2)
+        assert main(["classify", "--space", mixed_space_file,
+                     "--instances", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {want.value}\n"
+        assert repr(bad) in captured.err
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=_junk_row() | st.sampled_from(JUNK_FIELDS))
+    def test_single_instance(self, mixed_space_file, capsys, bad):
+        assert main(["classify", "--space", mixed_space_file, f"--instance={bad}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and repr(bad) in captured.err
 
 
 class TestImpactValidateLaws:

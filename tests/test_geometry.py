@@ -339,7 +339,56 @@ class TestCoalesce:
         ]
 
 
+def _itv_subtract(a, b):
+    """Set difference of intervals as a list of 0, 1, or 2 intervals: the
+    parts of ``a`` below and above ``b``."""
+    inf = float("inf")
+    out = []
+    for side in ((-inf, b[0], False, not b[2]), (b[1], inf, not b[3], False)):
+        part = kernels.itv_intersect(a, side)
+        if part is not None:
+            out.append(part)
+    return out
+
+
+def _box_cut_by_parts(a, b):
+    """``box_cut`` composed from ``box_intersect`` and an interval
+    difference per axis, the oracle for the one-pass kernel."""
+    inter = kernels.box_intersect(a, b)
+    if inter is None:
+        return None, [a]
+    pieces = []
+    for k in range(len(a)):
+        for part in _itv_subtract(a[k], b[k]):
+            pieces.append(inter[:k] + (part,) + a[k + 1:])
+    return inter, pieces
+
+
+def _grid_intervals(n):
+    """Every interval over the values 0..n-1: each pair of distinct values
+    with all four flag combinations, and each point."""
+    out = [(x, x, True, True) for x in range(n)]
+    for lo, hi in itertools.combinations(range(n), 2):
+        out += [(lo, hi, lc, hc) for lc in (True, False) for hc in (True, False)]
+    return out
+
+
 class TestBoxesCut:
+    def test_box_cut_matches_parts_1d(self):
+        ivs = _grid_intervals(5)
+        for a, b in itertools.product(ivs, repeat=2):
+            assert kernels.box_cut((a,), (b,)) == _box_cut_by_parts((a,), (b,))
+
+    def test_box_cut_matches_parts_2d(self):
+        # every 5-value interval pair on one axis against every 2-value
+        # pair on the other, both ways round: each axis sees every case
+        # while the other meets, touches or misses
+        wide = list(itertools.product(_grid_intervals(5), repeat=2))
+        narrow = list(itertools.product(_grid_intervals(2), repeat=2))
+        for (a0, b0), (a1, b1) in itertools.product(wide, narrow):
+            for a, b in (((a0, a1), (b0, b1)), ((a1, a0), (b1, b0))):
+                assert kernels.box_cut(a, b) == _box_cut_by_parts(a, b)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_random_sets_with_overlapping_cutter(self, rng, m):
         # a 4-D probe grid has ~10^5-10^6 points, so fewer 4-D draws

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from decspace import AttributeSchema, Rule, RuleSet, classify, rules_to_space, validate
+from decspace.geometry import kernels
 from decspace.harness import (
     LABELS,
     PRE_DRIFT_CUT,
     StreamConfig,
+    _grid_coalesce,
     generate_batch,
     induce_rules,
     run_experiment,
@@ -193,6 +195,39 @@ class TestInduceRules:
     def test_empty_instances_rejected(self, cfg):
         with pytest.raises(ValueError):
             induce_rules(np.zeros((0, 2)), np.array([]), cfg.domain, 4)
+
+
+def _coalesced_cells(flat, grid, m):
+    """``kernels.coalesce`` of the cells at ascending flat indices ``flat``,
+    each cell an integer box closed above only at the top, as the flat
+    indices of each output box's lowest and highest cell."""
+    shape = (grid,) * m
+    axis = [(c, c + 1, True, c == grid - 1) for c in range(grid)]
+    cells = list(itertools.product(*[axis] * m))
+    return [
+        (int(np.ravel_multi_index([iv[0] for iv in box], shape)),
+         int(np.ravel_multi_index([iv[1] - 1 for iv in box], shape)))
+        for box in kernels.coalesce([cells[c] for c in flat])
+    ]
+
+
+class TestGridCoalesce:
+    @pytest.mark.parametrize("m, max_grid", [(1, 30), (2, 9), (3, 5), (4, 4)])
+    def test_matches_generic_coalesce(self, rng, m, max_grid):
+        for _ in range(60):
+            grid = int(rng.integers(1, max_grid + 1))
+            keep = rng.random(grid ** m) < rng.random()
+            flat = np.flatnonzero(keep).tolist()
+            assert _grid_coalesce(flat, grid, m) == _coalesced_cells(flat, grid, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_edge_cases(self, m):
+        for grid in (1, 3):
+            n = grid ** m
+            for flat in ([], [0], [n - 1], [n // 2], list(range(n))):
+                assert _grid_coalesce(flat, grid, m) == _coalesced_cells(flat, grid, m)
+        # every cell of a grid is one box
+        assert _grid_coalesce(list(range(4 ** m)), 4, m) == [(0, 4 ** m - 1)]
 
 
 class TestRunExperiment:
