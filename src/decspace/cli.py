@@ -6,6 +6,8 @@ schema mismatches, bad flags), 2 on semantic validation failures
 An unreadable or malformed input exits 1 with one ``error:`` line on
 stderr that names the file at fault (or, for a rule or tree naming an
 attribute the schema lacks, the attribute); it never ends in a traceback.
+A command that runs out of memory, such as ``simulate`` on a grid too
+large to allocate, exits 1 with one ``error:`` line too.
 Every JSON document is read through ``_read_doc``, and ``main`` is the one
 place that turns a rejected input into an exit code.
 All output is deterministic given inputs and flags.
@@ -420,6 +422,10 @@ def main(argv=None):
     except (CliError, ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_ERROR)
+    except MemoryError as exc:
+        # numpy's says how much it asked for; a bare one says nothing
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -7,18 +7,21 @@ per attribute).  Every split of one box set by another is one cut,
 intersection is its shared part.  It cuts box by box with ``box_cut``,
 one pass over the axes that narrows the intersection and splits off the
 rest as it goes.  A test whether two box sets meet stops at their first
-meeting pair of boxes (``box_intersect``), building no rest.  Coalescing joins adjacent boxes in one pass, finding each box's partners by
-dictionary lookup on its faces.  Point location works on an ``(n, m)``
-point array with numpy: a small call tests every point against every box,
-and a larger one is a slab index (Dobkin and Lipton, 1976) in row space.
-The points are sorted on attribute 0, each box spans one range of rows,
-and each slab of rows is tested only against the boxes spanning it.
+meeting pair of boxes (``box_intersect``), building no rest.  Coalescing
+takes the boxes in turn and scans the live boxes for each one's earliest
+partner; nearly every call gets one box or a handful.  Point location
+works on an ``(n, m)`` point array with numpy: a small call tests every
+point against every box, and a larger one is a slab index (Dobkin and
+Lipton, 1976) in row space.  The points are sorted on attribute 0, each
+box spans one range of rows, and each slab of rows is tested only against
+the boxes spanning it.
 
 Empty intervals are represented by ``None`` return values, never by tuples.
 A degenerate interval ``lo == hi`` is only valid when both endpoints are
 closed (a point).
 """
 
+from bisect import insort
 from operator import itemgetter
 
 import numpy as np
@@ -119,14 +122,22 @@ def extent(boxes):
     )
 
 
-def _joined(below, above, k):
-    """The union of two boxes identical off axis ``k`` when ``below`` ends
-    on axis k where ``above`` starts and the shared endpoint is closed on at
-    least one side; else None, also for two copies of one box."""
-    lo, hi = below[k], above[k]
-    if lo == hi or not (lo[3] or hi[2]):
+def _join(a, b):
+    """The union of boxes ``a`` and ``b`` when they are equal off one axis k,
+    one ends on axis k where the other starts and the shared end is closed
+    on at least one side; else None, also for two copies of one box."""
+    k = None
+    for j in range(len(a)):
+        if a[j] != b[j]:
+            if k is not None:
+                return None
+            k = j
+    if k is None:
         return None
-    return below[:k] + ((lo[0], hi[1], lo[2], hi[3]),) + below[k + 1:]
+    lo, hi = (a[k], b[k]) if a[k][1] == b[k][0] else (b[k], a[k])
+    if lo[1] != hi[0] or not (lo[3] or hi[2]):
+        return None
+    return a[:k] + ((lo[0], hi[1], lo[2], hi[3]),) + a[k + 1:]
 
 
 def coalesce(boxes):
@@ -137,52 +148,20 @@ def coalesce(boxes):
     and is joined again until it has no partner.  The output is in rank
     order.  Appending one box to an already coalesced list therefore gives
     the list that repeatedly joining the first joinable pair would give.
-
-    Partners are looked up, not scanned for: for each axis k, every live
-    box is filed under (k, the box without axis k) by its lower and by its
-    upper end on axis k.  The first box has nothing to look up and the last
-    is looked up by nothing, so neither pays for it.
     """
     if len(boxes) < 2:
         return list(boxes)
-    live = {}  # rank -> box
-    lines = {}  # (k, box without axis k) -> ({lower end: ranks}, {upper end: ranks})
-    last = len(boxes) - 1
+    live = []  # (rank, box) in rank order
     for rank, b in enumerate(boxes):
-        is_last = rank == last
-        while live:
-            best = None  # (rank, joined box)
-            for k in range(len(b)):
-                line = lines.get((k, b[:k], b[k + 1:]))
-                if line is None:
-                    continue
-                for r in line[1].get(b[k][0], ()):
-                    if best is None or r < best[0]:
-                        j = _joined(live[r], b, k)
-                        if j is not None:
-                            best = r, j
-                for r in line[0].get(b[k][1], ()):
-                    if best is None or r < best[0]:
-                        j = _joined(b, live[r], k)
-                        if j is not None:
-                            best = r, j
-            if best is None:
-                break
-            r, b = best
-            partner = live.pop(r)
-            for k in range(len(partner)):
-                lows, highs = lines[k, partner[:k], partner[k + 1:]]
-                lows[partner[k][0]].remove(r)
-                highs[partner[k][1]].remove(r)
-            rank = min(rank, r)
-        live[rank] = b
-        if is_last:
-            break
-        for k in range(len(b)):
-            lows, highs = lines.setdefault((k, b[:k], b[k + 1:]), ({}, {}))
-            lows.setdefault(b[k][0], []).append(rank)
-            highs.setdefault(b[k][1], []).append(rank)
-    return [live[r] for r in sorted(live)]
+        i = 0
+        while i < len(live):
+            joined = _join(live[i][1], b)
+            if joined is None:
+                i += 1
+            else:
+                rank, b, i = min(rank, live.pop(i)[0]), joined, 0
+        insort(live, (rank, b))
+    return [b for _, b in live]
 
 
 def boxes_cut(A, B):

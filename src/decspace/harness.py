@@ -53,6 +53,10 @@ class StreamConfig:
             raise ValueError("num_learners must be >= 1")
         if self.test_size < 1:
             raise ValueError("test_size must be >= 1")
+        if self.grid < 1:
+            raise ValueError("grid must be >= 1")
+        if len(self.domain) < 1:
+            raise ValueError("domain needs at least one attribute")
 
     @classmethod
     def from_json(cls, doc):

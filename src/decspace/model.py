@@ -31,6 +31,13 @@ def _number(v, kind=float):
         raise ValueError(f"number out of range: {v!r:.40}") from None
 
 
+def _name(v):
+    """An attribute name read from a document: a string."""
+    if not isinstance(v, str):
+        raise ValueError(f"attribute name must be a string: {v!r:.40}")
+    return v
+
+
 def _label(v):
     """A class label read from a document: a string, a number, or an array
     of them, which is read back as a tuple."""
@@ -72,7 +79,7 @@ class AttributeSchema:
     def from_json(cls, items):
         """Schema from a list of ``{"name", "min", "max"}`` objects.  Raises
         KeyError, TypeError or ValueError on a malformed list."""
-        return cls(tuple((a["name"], _number(a["min"]), _number(a["max"]))
+        return cls(tuple((_name(a["name"]), _number(a["min"]), _number(a["max"]))
                          for a in items))
 
     def __len__(self):
@@ -147,6 +154,11 @@ def specialization(region):
     an element's prediction in a merge."""
     if region.is_empty:
         return 0.0
+    if len(region.boxes) == 1:
+        # each projection is the box's own extent, with nothing to sort
+        # or join: the same float, as 0.0 + d == d for d >= 0
+        (box,) = region.boxes
+        return sum([hi - lo for lo, hi, _, _ in box]) / len(box)
     m = region.dim
     return sum(region.projection_measure(k) for k in range(m)) / m
 

@@ -6,7 +6,7 @@ midpoints), rules and trees are evaluated directly on points, and merges
 are checked cell by cell against the weighted-average formula.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -110,6 +110,21 @@ def join(a, b):
         if lo[1] == hi[0] and (lo[3] or hi[2]):
             return a[:k] + ((lo[0], hi[1], lo[2], hi[3]),) + a[k + 1:]
     return None
+
+
+def fixpoint_coalesce(boxes):
+    """Join the first joinable pair of boxes, then start over, until no pair
+    can be joined."""
+    boxes = list(boxes)
+    while True:
+        for i, j in combinations(range(len(boxes)), 2):
+            joined = join(boxes[i], boxes[j])
+            if joined is not None:
+                boxes[i] = joined
+                del boxes[j]
+                break
+        else:
+            return boxes
 
 
 # -- random model generators -------------------------------------------------

@@ -595,6 +595,27 @@ class TestSimulate:
         cfg.write_text("{}")
         assert main(["simulate", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 74.5 GiB for an array with shape (10000000000,)",
+         "error: out of memory: Unable to allocate 74.5 GiB for an array with shape "
+         "(10000000000,)"),
+        ("", "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                             message, line):
+        # a grid too large to allocate ends in numpy's MemoryError, raised
+        # here without allocating anything
+        def run_experiment(cfg, strategy):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SIMULATE_CONFIG))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "acc.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [line]
+
 
 SCHEME_DOCS = {"string": '"x"', "object": '{"a": 1}', "float-leaf": "[0, 1.5]",
                "bool-leaf": "[0, true]"}
@@ -641,6 +662,10 @@ MALFORMED = [
     ("schema-not-utf8", "schema.json", b'[{"name": "\xff"}]',
      ["convert", "--rules", "{rules}", "--schema", "{file}"], 1, "{file}"),
     ("simulate-test-size-0", "cfg.json", json.dumps({**SIMULATE_CONFIG, "test_size": 0}),
+     ["simulate", "--config", "{file}", "--out", "{tmp}/acc.csv"], 1, "{file}"),
+    ("simulate-grid-0", "cfg.json", json.dumps({**SIMULATE_CONFIG, "grid": 0}),
+     ["simulate", "--config", "{file}", "--out", "{tmp}/acc.csv"], 1, "{file}"),
+    ("simulate-domain-empty", "cfg.json", json.dumps({**SIMULATE_CONFIG, "domain": []}),
      ["simulate", "--config", "{file}", "--out", "{tmp}/acc.csv"], 1, "{file}"),
     ("classes-missing-label", "rules.txt", "IF age < 2 THEN A\n",
      [*CONVERT_RULES, "--classes", "X"], 1, "'A'"),
@@ -787,6 +812,85 @@ class TestJunkDocuments:
             capsys.readouterr()
             assert main([arg.format(**fill) for arg in argv]) in (1, 2), argv
             assert capsys.readouterr().out == ""
+
+
+# never a JSON integer: a valid count can be one that never finishes
+# ("batches": 10**30), and a valid seed runs
+NOT_INTEGER = st.one_of(
+    st.floats(), st.integers(-10 ** 6, 10 ** 6).map(str), st.booleans(), st.none(),
+    _CONTAINERS,
+)
+# per input file: a valid document, the command that reads it, and its
+# slots (path into the document, kind of slot)
+JUNK_FILES = {
+    "schema": (
+        SCHEMA_JSON,
+        ["convert", "--rules", "{rules}", "--schema", "{file}"],
+        [((0, "name"), "name"), ((0, "min"), "number"), ((1, "max"), "number")],
+    ),
+    "tree": (
+        {"classes": ["A", "B"],
+         "tree": {"attr": "age", "threshold": 3, "left": {"label": "A"},
+                  "right": {"value": [25, 75]}}},
+        CONVERT_TREE,
+        [(("classes", 1), "name"), (("tree", "attr"), "name"),
+         (("tree", "threshold"), "number"), (("tree", "left", "label"), "name"),
+         (("tree", "right", "value", 0), "number")],
+    ),
+    "scheme": (
+        [[0, 1], 2],
+        ["merge", "--in", "{space}", "{space}", "{space}", "--scheme", "{file}",
+         "--out", "{tmp}/m.json"],
+        [((0, 1), "integer"), ((1,), "integer")],
+    ),
+    "simulate": (
+        SIMULATE_CONFIG,
+        ["simulate", "--config", "{file}", "--out", "{tmp}/acc.csv"],
+        [*(((key,), "integer") for key in ("seed", "num_learners", "drift_at", "batches",
+                                           "batch_size", "grid", "test_size")),
+         (("domain", 0, "name"), "name"), (("domain", 0, "min"), "number"),
+         (("domain", 1, "max"), "number")],
+    ),
+}
+FILE_SLOTS = [(name, path, kind) for name, (_, _, slots) in JUNK_FILES.items()
+              for path, kind in slots]
+
+
+class TestJunkFiles:
+    """One junk value in a valid schema, tree, scheme file or simulate
+    config: the command that reads it exits 1 or 2 with nothing on stdout,
+    never with a traceback."""
+
+    def _run(self, tmp_path, space_file, schema_file, rules_file, name, doc):
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(doc))
+        fill = {"file": str(bad), "space": space_file, "schema": schema_file,
+                "rules": rules_file, "tmp": str(tmp_path)}
+        return main([arg.format(**fill) for arg in JUNK_FILES[name][1]])
+
+    @pytest.mark.parametrize("name", JUNK_FILES)
+    def test_valid_document_runs(self, tmp_path, space_file, schema_file, rules_file,
+                                 capsys, name):
+        assert self._run(tmp_path, space_file, schema_file, rules_file, name,
+                         JUNK_FILES[name][0]) == 0
+
+    @pytest.mark.parametrize("name, path, kind", FILE_SLOTS,
+                             ids=["-".join(map(str, (n, *p))) for n, p, _ in FILE_SLOTS])
+    @settings(derandomize=True, max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_one_or_two(self, tmp_path, space_file, schema_file, rules_file, capsys,
+                             name, path, kind, data):
+        doc = json.loads(json.dumps(JUNK_FILES[name][0]))
+        slot = doc
+        for key in path[:-1]:
+            slot = slot[key]
+        slot[path[-1]] = data.draw(NOT_INTEGER if kind == "integer" else JUNK[kind])
+        capsys.readouterr()
+        assert self._run(tmp_path, space_file, schema_file, rules_file, name, doc) in (1, 2)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
 
 
 class TestParser:

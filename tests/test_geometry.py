@@ -5,7 +5,7 @@ import pytest
 
 from decspace.geometry import Interval, Region, box, kernels
 
-from conftest import inside, join, raster, sample_axes
+from conftest import fixpoint_coalesce, inside, join, raster, sample_axes
 
 
 def half_open(lo, hi):
@@ -307,6 +307,26 @@ def _random_disjoint_boxes(rng, m):
     return [boxes[i] for i in rng.permutation(len(boxes))]
 
 
+def _random_grid_cells(rng, m):
+    """The cells of a random grid on [0, 10]^m, cut by ``_cut`` so that a
+    face goes to one side or is cut out as a closed slab.  Some cells are
+    dropped and the rest shuffled; a cell can meet its partners on several
+    axes, which a guillotine tiling seldom gives."""
+    axes = []
+    for _ in range(m):
+        parts = [((0.0, 10.0, True, True),)]
+        for _ in range(int(rng.integers(1, 6 // m + 1))):
+            part = parts.pop(int(rng.integers(0, len(parts))))
+            slab = _cut(rng, parts, part, 0, int(rng.integers(0, 3)))
+            if slab is not None:
+                parts.append(slab)
+        axes.append([part[0] for part in parts])
+    cells = list(itertools.product(*axes))
+    keep = rng.random(len(cells)) < 0.8
+    cells = [c for c, k in zip(cells, keep) if k] or cells[:1]
+    return [cells[i] for i in rng.permutation(len(cells))]
+
+
 class TestCoalesce:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_random_disjoint_sets(self, rng, m):
@@ -326,6 +346,19 @@ class TestCoalesce:
                 kernels.locate(boxes, [0] * len(boxes), grid),
                 kernels.locate(out, [0] * len(out), grid),
             )
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("boxes_of", [_random_disjoint_boxes, _random_grid_cells])
+    def test_appending_matches_fixpoint(self, rng, m, boxes_of):
+        # the rank contract, box for box and in order: appending one box to
+        # a coalesced list gives what joining the first joinable pair until
+        # none is left gives
+        for _ in range(40):
+            coalesced = []
+            for b in boxes_of(rng, m):
+                want = fixpoint_coalesce(coalesced + [b])
+                assert kernels.coalesce(coalesced + [b]) == want
+                coalesced = want
 
     def test_joins_with_earliest_partner(self):
         # c can join a or b: it joins a, the earlier, keeps a's place and

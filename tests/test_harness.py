@@ -15,7 +15,7 @@ from decspace.harness import (
     run_experiment,
 )
 
-from conftest import join
+from conftest import fixpoint_coalesce
 
 
 @pytest.fixture
@@ -89,21 +89,6 @@ class TestGenerateBatch:
         assert frac == pytest.approx(PRE_DRIFT_CUT, abs=0.02)
 
 
-def _fixpoint_coalesce(boxes):
-    """Join the first joinable pair of boxes, then start over, until no pair
-    can be joined."""
-    boxes = list(boxes)
-    while True:
-        for i, j in itertools.combinations(range(len(boxes)), 2):
-            joined = join(boxes[i], boxes[j])
-            if joined is not None:
-                boxes[i] = joined
-                del boxes[j]
-                break
-        else:
-            return boxes
-
-
 def _per_cell_union_rules(points, labels, schema, grid):
     """Reference learner: a majority vote per cell, then each cell box is
     added to its label's region by a union with a fixpoint coalesce."""
@@ -133,7 +118,7 @@ def _per_cell_union_rules(points, labels, schema, grid):
             for k, c in enumerate(coords)
         )
         # the cell is disjoint from the region, so the union appends it
-        per_label[label] = _fixpoint_coalesce(per_label[label] + [box])
+        per_label[label] = fixpoint_coalesce(per_label[label] + [box])
     rules = []
     for label in LABELS:
         for box in per_label[label]:

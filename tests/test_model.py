@@ -325,6 +325,27 @@ class TestSpecialization:
         ))
         assert specialization(r) == pytest.approx((5 + 4) / 2)
 
+    def test_one_box_is_mean_of_projection_measures(self, rng):
+        # the one-box case skips projection_measure; it must give the same
+        # float, bit for bit, on tiny, huge, signed-zero and point bounds
+        ends = [0.0, -0.0, 1e-300, -1e-300, 1e308, -1e308, 0.5, 3.0, -7.25]
+        for _ in range(3000):
+            m = int(rng.integers(1, 5))
+            ivs = []
+            for _ in range(m):
+                if rng.random() < 0.5:
+                    a, b = (float(x) for x in rng.choice(ends, 2))
+                else:
+                    a, b = (float(x) for x in rng.uniform(-1e3, 1e3, 2))
+                if rng.random() < 0.2:
+                    b = a
+                lo, hi = (a, b) if a <= b else (b, a)  # keeps 0.0, -0.0
+                closed = lo == hi or rng.random() < 0.5
+                ivs.append((lo, hi, closed, closed))
+            r = Region.from_box(*ivs)
+            mean = sum(r.projection_measure(k) for k in range(m)) / m
+            assert specialization(r).hex() == mean.hex(), ivs
+
 
 class TestSemanticEquality:
     def test_reflexive(self, partition_space):
