@@ -94,7 +94,9 @@ def _read_doc(path, parse, what):
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return parse(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    # RecursionError: a tree nested deeper than the recursive reader goes,
+    # which json.loads can return on Python 3.12 and later
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CliError(f"{path}: not {what}: {exc}") from exc
 
 

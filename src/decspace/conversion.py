@@ -60,21 +60,19 @@ class Rule:
     outcome: Union[str, ClassDistribution]
 
     def __post_init__(self):
-        seen = {}
+        bounds = {}  # {attribute: {side: threshold}}, in first-appearance order
         for attr, op, value in self.conditions:
             if op not in UPPER_OPS + LOWER_OPS:
                 raise ValueError(f"unknown operator {op!r}")
             side = "upper" if op in UPPER_OPS else "lower"
-            if (attr, side) in seen:
+            sides = bounds.setdefault(attr, {})
+            if side in sides:
                 raise ValueError(f"duplicate {side} bound on {attr!r}")
-            seen[(attr, side)] = value
-        for attr in {a for a, _ in seen}:
-            lo = seen.get((attr, "lower"))
-            hi = seen.get((attr, "upper"))
+            sides[side] = value
+        for attr, sides in bounds.items():
+            lo, hi = sides.get("lower"), sides.get("upper")
             if lo is not None and hi is not None and lo >= hi:
-                raise ValueError(
-                    f"inverted bounds on {attr!r}: {lo} >= {hi}"
-                )
+                raise ValueError(f"inverted bounds on {attr!r}: {lo} >= {hi}")
 
     def evaluate(self, names, pt):
         """Direct rule semantics on a point (the conversion oracle)."""
@@ -205,15 +203,19 @@ def _parse_distribution(toks, lineno):
         i += 3
         if i < len(toks) and toks[i][1] == "%":
             i += 1
-    total = sum(weights)
-    if abs(total - 1.0) > 1e-6:
-        raise RuleSyntaxError(
-            lineno, toks[0][2], f"distribution sums to {total * 100:g}%, not 100%"
-        )
     try:
-        return ClassDistribution(tuple(labels), tuple(w / total for w in weights))
+        return _distribution(labels, weights)
     except ValueError as exc:
         raise RuleSyntaxError(lineno, toks[0][2], str(exc)) from None
+
+
+def _distribution(labels, weights):
+    """The distribution of ``weights`` over ``labels``, renormalized; the
+    weights must sum to 1 within 1e-6."""
+    total = sum(weights)
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"distribution sums to {total * 100:g}%, not 100%")
+    return ClassDistribution(tuple(labels), tuple(w / total for w in weights))
 
 
 def parse_ruleset(text):
@@ -230,16 +232,16 @@ def parse_ruleset(text):
 
 
 def format_ruleset(rules):
-    """Render a rule set back to DSL text (inverse of parse_ruleset)."""
+    """Render a rule set back to DSL text (inverse of parse_ruleset).  Numbers
+    are written as ``repr(float)``, which reads back to the same float."""
     lines = []
     for r in rules.rules:
-        conds = " AND ".join(f"{a} {op} {v:g}" for a, op, v in r.conditions)
+        conds = " AND ".join(f"{a} {op} {float(v)!r}" for a, op, v in r.conditions)
         if isinstance(r.outcome, str):
             outcome = r.outcome
         else:
-            outcome = ", ".join(
-                f"{l} = {w * 100:g}%" for l, w in zip(r.outcome.labels, r.outcome.weights)
-            )
+            outcome = ", ".join(f"{l} = {w * 100!r}%"
+                                for l, w in zip(r.outcome.labels, r.outcome.weights))
         lines.append(f"IF {conds} THEN {outcome}")
     return "\n".join(lines) + "\n"
 
@@ -366,53 +368,35 @@ def tree_from_json(doc):
             percents = [_number(p) for p in node["value"]]
             if not all(0 <= p <= 100 for p in percents):
                 raise ValueError(f"leaf percent outside [0, 100]: {percents}")
-            weights = [p / 100.0 for p in percents]
-            total = sum(weights)
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"leaf distribution sums to {total * 100:g}%")
-            return DecisionTreeNode.leaf(
-                ClassDistribution(tuple(classes), tuple(w / total for w in weights))
-            )
+            return DecisionTreeNode.leaf(_distribution(classes, [p / 100.0 for p in percents]))
         raise ValueError(f"malformed tree node: {node}")
 
     return build(doc["tree"] if "tree" in doc else doc), classes
 
 
 def tree_to_rules(tree, schema):
-    """Path extraction: each root-to-leaf path becomes one rule; a path may
-    test the same attribute repeatedly, so only binding bounds are kept."""
+    """Path extraction: each root-to-leaf path, depth first and left first,
+    becomes one rule holding only the path's binding bound per attribute and
+    side.  An explicit stack walks trees of any depth."""
     rules = []
-
-    def walk(node, conds):
+    stack = [(tree, {})]  # (node, its path's {attribute: (lo, hi)})
+    while stack:
+        node, bounds = stack.pop()
         if node.is_leaf:
-            rules.append(Rule(_tighten(conds), node.outcome))
-            return
-        walk(node.left, conds + [(node.attribute, "<", node.threshold)])
-        walk(node.right, conds + [(node.attribute, ">=", node.threshold)])
-
-    walk(tree, [])
+            conds = []
+            for a, (lo, hi) in bounds.items():
+                if lo is not None:
+                    conds.append((a, ">=", lo))
+                if hi is not None:
+                    conds.append((a, "<", hi))
+            rules.append(Rule(tuple(conds), node.outcome))
+            continue
+        a, t = node.attribute, node.threshold
+        lo, hi = bounds.get(a, (None, None))
+        # the right branch is pushed first, so the left one is walked first
+        stack.append((node.right, {**bounds, a: (t if lo is None else max(lo, t), hi)}))
+        stack.append((node.left, {**bounds, a: (lo, t if hi is None else min(hi, t))}))
     return RuleSet(tuple(rules))
-
-
-def _tighten(conditions):
-    """Keep only the binding bound per attribute and side."""
-    lo, hi, order = {}, {}, []
-    for attr, op, v in conditions:
-        if attr not in order:
-            order.append(attr)
-        if op in UPPER_OPS:
-            if attr not in hi or v < hi[attr][1]:
-                hi[attr] = (op, v)
-        else:
-            if attr not in lo or v > lo[attr][1]:
-                lo[attr] = (op, v)
-    conds = []
-    for attr in order:
-        if attr in lo:
-            conds.append((attr, lo[attr][0], lo[attr][1]))
-        if attr in hi:
-            conds.append((attr, hi[attr][0], hi[attr][1]))
-    return tuple(conds)
 
 
 def tree_to_space(tree, schema, class_labels=None):

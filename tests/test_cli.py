@@ -737,6 +737,24 @@ class TestMalformedInput:
         assert sum(line.startswith("error: ") for line in lines) == 1
         assert culprit.format(**fill) in lines[-1]
 
+    def test_tree_nested_past_the_reader(self, tmp_path, schema_file, capsys, monkeypatch):
+        # json.loads on Python 3.12 and later parses trees nested deeper than
+        # the recursive tree reader goes; this stands in for it on any version
+        tree = {"label": "A"}
+        for _ in range(3000):
+            tree = {"attr": "age", "threshold": 1, "left": tree, "right": {"label": "B"}}
+        bad = tmp_path / "tree.json"
+        bad.write_text('"deep"')
+        loads = json.loads
+        monkeypatch.setattr(json, "loads",
+                            lambda text: {"tree": tree} if text == '"deep"' else loads(text))
+        capsys.readouterr()
+        assert main(["convert", "--tree", str(bad), "--schema", schema_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {bad}: not a decision-tree document: ")
+        assert err.count("\n") == 1
+
 
 _CONTAINERS = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),

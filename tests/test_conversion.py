@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import decspace
 from decspace import (
     AttributeSchema,
     ClassDistribution,
@@ -111,6 +116,31 @@ class TestParse:
     def test_round_trip(self, partition_rules_text):
         rs = parse_ruleset(partition_rules_text)
         assert parse_ruleset(format_ruleset(rs)) == rs
+
+    def test_round_trip_is_exact(self):
+        thresholds = (1 / 3, 1e-7, 1e20, -2.5)
+        rs = RuleSet(tuple(
+            Rule((("age", ">=", v),), outcome)
+            for v, outcome in zip(thresholds, ("A", ClassDistribution(("A", "B"), (1 / 3, 2 / 3)),
+                                               "B", "A"))
+        ))
+        back = parse_ruleset(format_ruleset(rs))
+        assert [r.conditions[0][2] for r in back.rules] == list(thresholds)
+        assert back.rules[1].outcome.weights == pytest.approx((1 / 3, 2 / 3), abs=1e-12)
+
+    def test_inverted_bounds_name_the_first_attribute(self):
+        # the attribute an error names follows the rule, not string hashing
+        src = os.path.dirname(os.path.dirname(decspace.__file__))
+        code = ("from decspace.conversion import Rule\n"
+                "try:\n"
+                "    Rule(tuple((a, op, v) for a in 'ab' for op, v in (('>', 5.0), ('<', 3.0))), 'X')\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        for seed in ("0", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=60)
+            assert run.stdout == "inverted bounds on 'a': 5.0 >= 3.0\n", seed
 
 
 class TestRulesToSpace:
@@ -283,6 +313,58 @@ class TestTrees:
         assert rules.rules[1].conditions == (("age", ">=", 3.0), ("age", "<", 6.0))
         space = tree_to_space(tree, schema)
         assert validate(space) == []
+
+    def test_deep_chain_tree_converts(self):
+        # x < 1, then x < 2 on its right branch, ..., 3000 levels deep
+        depth = 3000
+        schema = AttributeSchema((("x", 0.0, depth + 1.0),))
+        tree = DecisionTreeNode.leaf("B")
+        for t in range(depth, 0, -1):
+            tree = DecisionTreeNode.split("x", t, DecisionTreeNode.leaf("A"), tree)
+        rules = tree_to_rules(tree, schema).rules
+        assert len(rules) == depth + 1
+        assert rules[0].conditions == (("x", "<", 1.0),)
+        assert rules[7].conditions == (("x", ">=", 7.0), ("x", "<", 8.0))
+        assert rules[-1] == Rule((("x", ">=", float(depth)),), "B")
+        space = tree_to_space(tree, schema)
+        assert len(space.elements) == depth + 1
+        assert [classify(space, (x,))[1] for x in (0.5, 1999.0, depth - 0.5, depth)] == [
+            "A", "A", "A", "B"]
+
+    def test_free_threshold_trees_agree_with_traversal(self, rng):
+        """Thresholds are drawn from 1..7 whatever the path tested before, so
+        a path may re-test an attribute with a bound that does not bind.  The
+        other branch of such a test is empty, and its rule's inverted bounds
+        refuse the tree; every other tree converts and agrees with traversal."""
+        schema = AttributeSchema((("a0", 0.0, 8.0), ("a1", 0.0, 8.0)))
+        grid = [(float(x), float(y)) for x in range(9) for y in range(9)]
+        converted = refused = 0
+        for _ in range(150):
+            leaves = []
+
+            def build(depth):
+                if depth == 4 or rng.random() < 0.2:
+                    leaves.append(f"L{len(leaves)}")  # a label per leaf names its path
+                    return DecisionTreeNode.leaf(leaves[-1])
+                return DecisionTreeNode.split(str(rng.choice(schema.names)),
+                                              int(rng.integers(1, 8)), build(depth + 1),
+                                              build(depth + 1))
+
+            tree = build(0)
+            # integer bounds: a path that holds any point holds a grid point
+            if {tree.traverse(schema.names, pt) for pt in grid} != set(leaves):
+                with pytest.raises(ValueError, match="inverted bounds"):
+                    tree_to_rules(tree, schema)
+                refused += 1
+                continue
+            space = tree_to_space(tree, schema, tuple(leaves))
+            assert len(space.elements) == len(leaves)
+            pts = grid + [tuple(map(float, pt)) for pt in rng.uniform(0.0, 8.0, size=(100, 2))]
+            for pt in pts:
+                got = classify(space, pt)
+                assert got is not None and got[1] == tree.traverse(schema.names, pt)
+            converted += 1
+        assert converted >= 20 and refused >= 20
 
     def test_partitions_cover_full_domain(self, rng):
         schema = AttributeSchema((("a0", 0.0, 8.0), ("a1", 0.0, 8.0)))
